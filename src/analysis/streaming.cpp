@@ -119,7 +119,22 @@ void StreamingWindowDriver::open_due_windows(util::SimTime t) {
   }
 }
 
+void StreamingWindowDriver::submit_resolve_ahead() {
+  if (resolve_batch_.empty()) return;
+  auto job = [this, batch = std::move(resolve_batch_)] {
+    pipeline_.feature_cache()->resolve_ahead(batch, as_db_, geo_db_, resolver_);
+  };
+  resolve_batch_.clear();
+  if (config_.async_windows) {
+    jobs_->submit(close_queue_, std::move(job));
+  } else {
+    job();
+  }
+}
+
 void StreamingWindowDriver::close_front() {
+  // Everything this window ingested resolves ahead of its close job.
+  submit_resolve_ahead();
   OpenWindow window = std::move(windows_.front());
   windows_.pop_front();
   // Attribution point for drive-side series: everything this thread
@@ -155,6 +170,10 @@ void StreamingWindowDriver::complete_window(core::Sensor& sensor, util::SimTime 
   apply_ingest_delta(result.metrics_delta, ingest_delta);
   if (config_.telemetry_capacity > 0) record_telemetry(result);
   if (on_close_) on_close_(result, pipeline_.observations().back());
+  // Every querier memoized so far came from a record before this window's
+  // end, so the window's extract interned it unless it never reached an
+  // aggregate (sketch sampling): the rest of the memo is dead.
+  if (const auto& cache = pipeline_.feature_cache()) cache->drop_resolved();
 }
 
 void StreamingWindowDriver::record_telemetry(const WindowResult& r) {
@@ -216,6 +235,9 @@ void StreamingWindowDriver::offer(const dns::QueryRecord& record) {
   if (!covered) {
     ++late_records_;
     g_late.inc();
+  } else if (pipeline_.feature_cache()) {
+    resolve_batch_.push_back(record.querier);
+    if (resolve_batch_.size() >= kResolveAheadBatch) submit_resolve_ahead();
   }
 }
 

@@ -31,6 +31,12 @@
 // attribution exactly.  Scheduling-shaped series (sched flag, histograms)
 // are outside the contract, as everywhere else.
 //
+// Resolve-ahead (carry_forward on): offer() also collects each covered
+// record's querier into a batch that resolves on the close queue (inline
+// in sync mode) every kResolveAheadBatch records and once more just
+// before each close is queued.  Reverse-name lookups thus run while the
+// window is open, and its close only interns (core/feature_engine.hpp).
+//
 // Clocking is stream time, not wall time: windows open and close as record
 // timestamps advance, so replaying a capture yields byte-identical results
 // regardless of replay speed — the property the checkpoint/restart
@@ -44,6 +50,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <vector>
 
 #include "analysis/pipeline.hpp"
 #include "analysis/telemetry.hpp"
@@ -175,8 +182,14 @@ class StreamingWindowDriver {
     std::unique_ptr<core::Sensor> sensor;
   };
 
+  /// Offered queriers per resolve-ahead batch.
+  static constexpr std::size_t kResolveAheadBatch = 1024;
+
   std::unique_ptr<core::Sensor> make_sensor() const;
   void open_due_windows(util::SimTime t);
+  /// Hands the pending querier batch to the shared feature cache's
+  /// resolve-ahead memo: queued on the close queue (async) or run inline.
+  void submit_resolve_ahead();
   void close_front();
   /// The close work shared by both modes: pipeline pass, delta patch,
   /// telemetry, close callback.  Runs on the drive thread (sync) or the
@@ -195,6 +208,8 @@ class StreamingWindowDriver {
   std::shared_ptr<util::JobSystem> jobs_;
   util::JobSystem::QueueId close_queue_ = 0;
   std::deque<OpenWindow> windows_;
+  /// Queriers offered since the last resolve-ahead submission.
+  std::vector<net::IPv4Addr> resolve_batch_;
   bool started_ = false;
   /// Start of the next window to open (hop grid, anchored at epoch 0).
   util::SimTime next_start_{};

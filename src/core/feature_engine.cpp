@@ -4,28 +4,45 @@
 #include <array>
 
 #include "util/binio.hpp"
+#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace dnsbs::core {
 
+namespace {
+// Where each first-seen querier was resolved.  Sched: the split depends on
+// batch timing and on restarts (the memo is not checkpointed).
+util::MetricCounter& g_resolved_ahead =
+    util::metrics_counter("dnsbs.features.queriers_resolved_ahead", /*sched=*/true);
+util::MetricCounter& g_resolved_at_close =
+    util::metrics_counter("dnsbs.features.queriers_resolved_at_close", /*sched=*/true);
+}  // namespace
+
+QuerierResolution resolve_querier(net::IPv4Addr querier, const netdb::AsDb& as_db,
+                                  const netdb::GeoDb& geo_db,
+                                  const QuerierResolver& resolver) {
+  return QuerierResolution{as_db.lookup(querier), geo_db.lookup(querier),
+                           classify_querier(resolver.resolve(querier))};
+}
+
 std::uint32_t FeatureExtractionCache::intern(net::IPv4Addr querier,
-                                             std::optional<netdb::Asn> asn,
-                                             std::optional<netdb::CountryCode> cc,
-                                             QuerierCategory category) {
+                                             const QuerierResolution& resolution) {
   const auto id = static_cast<std::uint32_t>(category_.size());
   qid_.try_emplace(querier, id);
   // Dense ids hand out the next integer on first sight; 0 is reserved for
   // "no mapping" on the AS/CC axes (function arguments are evaluated
   // before try_emplace runs, so size() is the pre-insert size).
   std::uint32_t as = 0;
-  if (asn) {
-    as = as_ids_.try_emplace(*asn, static_cast<std::uint32_t>(as_ids_.size() + 1))
+  if (resolution.asn) {
+    as = as_ids_.try_emplace(*resolution.asn, static_cast<std::uint32_t>(as_ids_.size() + 1))
              .first->second;
   }
   std::uint32_t ccid = 0;
-  if (cc) {
-    ccid = cc_ids_.try_emplace(cc->packed(), static_cast<std::uint32_t>(cc_ids_.size() + 1))
+  if (resolution.cc) {
+    ccid = cc_ids_
+               .try_emplace(resolution.cc->packed(),
+                            static_cast<std::uint32_t>(cc_ids_.size() + 1))
                .first->second;
   }
   const std::uint32_t s24 =
@@ -35,8 +52,21 @@ std::uint32_t FeatureExtractionCache::intern(net::IPv4Addr querier,
   cc_id_.push_back(ccid);
   s24_id_.push_back(s24);
   s8_.push_back(static_cast<std::uint8_t>(querier.slash8()));
-  category_.push_back(category);
+  category_.push_back(resolution.category);
   return id;
+}
+
+void FeatureExtractionCache::resolve_ahead(std::span<const net::IPv4Addr> queriers,
+                                           const netdb::AsDb& as_db,
+                                           const netdb::GeoDb& geo_db,
+                                           const QuerierResolver& resolver) {
+  std::uint64_t resolved = 0;
+  for (const net::IPv4Addr querier : queriers) {
+    if (id_of(querier) != kNoId || ahead_.contains(querier)) continue;
+    ahead_.try_emplace(querier, resolve_querier(querier, as_db, geo_db, resolver));
+    ++resolved;
+  }
+  g_resolved_ahead.add(resolved);
 }
 
 namespace {
@@ -70,12 +100,18 @@ bool load_id_map(util::BinaryReader& in, util::FlatMap<K, std::uint32_t>& map,
   return true;
 }
 
+// Loaders never reserve() a count read from the image: the columns grow
+// only as bytes actually arrive, and stop at the first failed read, so a
+// corrupt length costs what the stream holds, not what it claims.
 bool load_u32_column(util::BinaryReader& in, std::vector<std::uint32_t>& column,
                      std::uint64_t n) {
   column.clear();
-  column.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) column.push_back(in.u32());
-  return in.ok();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint32_t v = in.u32();
+    if (!in.ok()) return false;
+    column.push_back(v);
+  }
+  return true;
 }
 
 }  // namespace
@@ -128,18 +164,18 @@ bool FeatureExtractionCache::load(util::BinaryReader& in) {
   s24_id_.clear();
   s8_.clear();
   category_.clear();
-  as_id_.reserve(queriers);
-  cc_id_.reserve(queriers);
-  s24_id_.reserve(queriers);
-  s8_.reserve(queriers);
-  category_.reserve(queriers);
+  ahead_.clear();
   for (std::uint64_t id = 0; id < queriers; ++id) {
-    as_id_.push_back(in.u32());
-    cc_id_.push_back(in.u32());
-    s24_id_.push_back(in.u32());
-    s8_.push_back(in.u8());
+    const std::uint32_t as = in.u32();
+    const std::uint32_t cc = in.u32();
+    const std::uint32_t s24 = in.u32();
+    const std::uint8_t s8 = in.u8();
     const std::uint8_t cat = in.u8();
-    if (cat >= kQuerierCategoryCount) return false;
+    if (!in.ok() || cat >= kQuerierCategoryCount) return false;
+    as_id_.push_back(as);
+    cc_id_.push_back(cc);
+    s24_id_.push_back(s24);
+    s8_.push_back(s8);
     category_.push_back(static_cast<QuerierCategory>(cat));
   }
   if (!load_id_map(in, as_ids_, [&in] { return netdb::Asn{in.u32()}; })) return false;
@@ -304,28 +340,27 @@ std::vector<FeatureVector> FeatureEngine::extract(
   }
   stats.dirty_originators = dirty.size();
 
-  // --- 2. Resolve the unseen queriers in parallel (resolver and AS/geo
-  // databases are read-only), then intern serially in first-seen order so
-  // dense-id assignment is deterministic for every thread count.
-  struct Resolved {
-    std::optional<netdb::Asn> asn;
-    std::optional<netdb::CountryCode> cc;
-    QuerierCategory category = QuerierCategory::kOther;
-  };
-  const auto resolved = util::parallel_map(
-      pending.size(),
-      [&](std::size_t i) {
-        const net::IPv4Addr querier = pending[i];
-        Resolved r;
-        r.asn = as_db_.lookup(querier);
-        r.cc = geo_db_.lookup(querier);
-        r.category = classify_querier(resolver_.resolve(querier));
-        return r;
+  // --- 2. Take the unseen queriers' resolve-ahead memo hits, resolve the
+  // misses in parallel (resolver and AS/geo databases are read-only), then
+  // intern serially in first-seen order so dense-id assignment is
+  // deterministic for every thread count.
+  std::vector<QuerierResolution> resolved(pending.size());
+  std::vector<std::size_t> misses;
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    if (const QuerierResolution* hit = cache.find_resolved(pending[i])) {
+      resolved[i] = *hit;
+    } else {
+      misses.push_back(i);
+    }
+  }
+  util::parallel_for(
+      misses.size(),
+      [&](std::size_t m) {
+        resolved[misses[m]] = resolve_querier(pending[misses[m]], as_db_, geo_db_, resolver_);
       },
       threads);
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    cache.intern(pending[i], resolved[i].asn, resolved[i].cc, resolved[i].category);
-  }
+  g_resolved_at_close.add(misses.size());
+  for (std::size_t i = 0; i < pending.size(); ++i) cache.intern(pending[i], resolved[i]);
   stats.queriers_interned = pending.size();
 
   // --- 3. Fold the dirty aggregates into the interval normalizer sets.

@@ -38,6 +38,17 @@
 // querier identities are resolved once on first sight.  Disable sharing
 // (WindowedPipelineConfig::carry_forward = false) when reverse names
 // drift between windows.
+//
+// Resolve-ahead.  A shared cache also carries a memo of queriers resolved
+// while their window is still open: analysis::StreamingWindowDriver hands
+// each batch of offered queriers to resolve_ahead() on its close queue, so
+// by the time a window closes, extract() takes memo hits and only interns.
+// A resolution is a pure function of the querier, and interning keeps its
+// first-seen order, so dense ids, rows and the saved cache are unchanged.
+// The driver drops the memo after every window close, and it is never
+// persisted (after a restore those queriers resolve at close, as they
+// would without it).  Without a shared cache (carry_forward off) there is
+// nothing to fill and resolve-ahead is off.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +67,23 @@ class BinaryWriter;
 
 namespace dnsbs::core {
 
+/// What the features need to know about one querier: its AS, country and
+/// reverse-name keyword class.  A pure function of the querier while the
+/// databases and resolver are stable.
+struct QuerierResolution {
+  std::optional<netdb::Asn> asn;
+  std::optional<netdb::CountryCode> cc;
+  QuerierCategory category = QuerierCategory::kOther;
+};
+
+QuerierResolution resolve_querier(net::IPv4Addr querier, const netdb::AsDb& as_db,
+                                  const netdb::GeoDb& geo_db,
+                                  const QuerierResolver& resolver);
+
 /// Process-long columnar state: the querier interner plus the per
-/// originator row cache.  Not thread-safe; one extraction runs at a time
-/// (the engine parallelizes internally over frozen state).
+/// originator row cache.  Not thread-safe; one extraction or
+/// resolve_ahead() runs at a time (the engine parallelizes internally over
+/// frozen state).
 class FeatureExtractionCache {
  public:
   static constexpr std::uint32_t kNoId = 0xffffffffu;
@@ -110,16 +135,30 @@ class FeatureExtractionCache {
   /// Interns one resolved querier, assigning the next dense id.  Must be
   /// called in a deterministic order (the engine commits pending queriers
   /// serially, in first-seen order).
-  std::uint32_t intern(net::IPv4Addr querier, std::optional<netdb::Asn> asn,
-                       std::optional<netdb::CountryCode> cc, QuerierCategory category);
+  std::uint32_t intern(net::IPv4Addr querier, const QuerierResolution& resolution);
+
+  // --- resolve-ahead memo (see the header comment) ---
+  /// Resolves every querier in `queriers` that is neither interned nor
+  /// memoized yet.
+  void resolve_ahead(std::span<const net::IPv4Addr> queriers, const netdb::AsDb& as_db,
+                     const netdb::GeoDb& geo_db, const QuerierResolver& resolver);
+  /// The memoized resolution of `querier`, or null.
+  const QuerierResolution* find_resolved(net::IPv4Addr querier) const noexcept {
+    const auto* slot = ahead_.find(querier);
+    return slot ? &slot->second : nullptr;
+  }
+  /// Empties the memo.
+  void drop_resolved() noexcept { ahead_.clear(); }
+  std::size_t resolved_ahead() const noexcept { return ahead_.size(); }
 
   util::FlatMap<net::IPv4Addr, RowEntry>& rows() noexcept { return rows_; }
 
   /// Checkpoint round-trip.  The interner maps and the row cache serialize
   /// slot-exactly; doubles travel as raw bit patterns, so a restored cache
   /// reproduces every reuse/recompute decision — and every cached row —
-  /// bit-for-bit.  load() replaces the cache's entire state and returns
-  /// false on a corrupt stream (state is then unspecified; discard it).
+  /// bit-for-bit.  The resolve-ahead memo is not part of the image.
+  /// load() replaces the cache's entire state and returns false on a
+  /// corrupt stream (state is then unspecified; discard it).
   void save(util::BinaryWriter& out) const;
   bool load(util::BinaryReader& in);
 
@@ -137,6 +176,7 @@ class FeatureExtractionCache {
   util::FlatMap<std::uint32_t, std::uint32_t> s24_ids_;
   util::FlatMap<net::IPv4Addr, RowEntry> rows_;
   std::uint64_t interval_serial_ = 0;
+  util::FlatMap<net::IPv4Addr, QuerierResolution> ahead_;
 };
 
 /// Per-extraction tallies (deterministic: pure functions of the input

@@ -42,8 +42,8 @@ StaticFeatures compute_static_features(const OriginatorAggregate& agg,
                                        const QuerierResolver& resolver);
 
 /// Computes static features via the per-interval classification cache so a
-/// querier shared by many footprints is resolved only once (the hot path —
-/// Sensor::extract_features uses this overload).
+/// querier shared by many footprints is resolved only once.  Only tests use
+/// it now, as an oracle: Sensor::extract_features runs FeatureEngine.
 StaticFeatures compute_static_features(const OriginatorAggregate& agg,
                                        const QuerierClassificationCache& cache);
 

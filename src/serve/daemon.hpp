@@ -18,8 +18,12 @@
 // Plus a shared util::JobSystem (the async window pipeline) with three
 // serial queues on one small worker pool:
 //
-//   close   window seal -> feature extraction, retrain gate, classify,
-//           telemetry (StreamingWindowDriver, --async-windows on)
+//   close   resolve-ahead batches: reverse-name/AS/geo lookups of the
+//           queriers offered so far, while their window is still open;
+//           window seal -> feature extraction (interning the resolved
+//           queriers), retrain gate, classify, telemetry
+//           (StreamingWindowDriver, --async-windows on; with carry-forward
+//           off there is no shared cache and lookups stay in extraction)
 //   train   the pipeline's ordered retrain+classify chain
 //   export  --windows-out summary appends (rendered on the closing
 //           thread, re-sequenced by absolute window index) and TRACE

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,6 +15,7 @@
 #include "analysis/pipeline.hpp"
 #include "core/feature_engine.hpp"
 #include "core/sensor.hpp"
+#include "util/binio.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
 
@@ -58,6 +60,20 @@ class CyclingResolver final : public QuerierResolver {
     }
     return info;
   }
+};
+
+/// CyclingResolver that counts its calls (single-threaded use only).
+class CountingResolver final : public QuerierResolver {
+ public:
+  QuerierInfo resolve(IPv4Addr querier) const override {
+    ++calls_;
+    return base_.resolve(querier);
+  }
+  int calls() const noexcept { return calls_; }
+
+ private:
+  CyclingResolver base_;
+  mutable int calls_ = 0;
 };
 
 struct Dbs {
@@ -440,6 +456,79 @@ TEST(FeatureEngineDeterminism, CountersMatchSerialAcrossThreadCounts) {
     }
   }
 #endif
+}
+
+TEST(FeatureExtractionCacheResolveAhead, MemoSkipsInternedAndRepeatQueriers) {
+  const Dbs dbs;
+  const CountingResolver resolver;
+  FeatureExtractionCache cache;
+  cache.intern(addr(10, 0, 0, 9),
+               resolve_querier(addr(10, 0, 0, 9), dbs.as_db, dbs.geo_db, resolver));
+
+  const std::vector<IPv4Addr> batch = {addr(10, 0, 0, 9), addr(10, 0, 0, 1),
+                                       addr(10, 1, 0, 2), addr(10, 0, 0, 1)};
+  cache.resolve_ahead(batch, dbs.as_db, dbs.geo_db, resolver);
+  cache.resolve_ahead(batch, dbs.as_db, dbs.geo_db, resolver);
+  EXPECT_EQ(cache.resolved_ahead(), 2u);
+  EXPECT_EQ(resolver.calls(), 3);  // the interned one once, then two new ones
+  EXPECT_EQ(cache.find_resolved(addr(10, 0, 0, 9)), nullptr);
+
+  const QuerierResolution* hit = cache.find_resolved(addr(10, 1, 0, 2));
+  ASSERT_NE(hit, nullptr);
+  const QuerierResolution want =
+      resolve_querier(addr(10, 1, 0, 2), dbs.as_db, dbs.geo_db, CyclingResolver{});
+  EXPECT_EQ(hit->asn, want.asn);
+  EXPECT_EQ(hit->cc, want.cc);
+  EXPECT_EQ(hit->category, want.category);
+
+  cache.drop_resolved();
+  EXPECT_EQ(cache.resolved_ahead(), 0u);
+}
+
+TEST(FeatureExtractionCacheLoad, ClaimedLengthsBeyondTheStreamFailCleanly) {
+  // An image claiming 2^30 queriers (or a 2^30-entry row column) and then
+  // ending must fail after reading what is there, without reserving the
+  // ~14 GiB the claim implies.
+  const auto truncated = [](bool claim_in_row) {
+    std::stringstream bytes;
+    util::BinaryWriter out(bytes);
+    out.u64(0);  // interval serial
+    out.u64(0);  // querier-id map: capacity, size
+    out.u64(0);
+    if (!claim_in_row) {
+      out.u64(std::uint64_t{1} << 30);
+      for (int i = 0; i < 3; ++i) {  // three whole column entries, then EOF
+        out.u32(1);
+        out.u32(1);
+        out.u32(0);
+        out.u8(10);
+        out.u8(0);
+      }
+      return bytes.str();
+    }
+    out.u64(0);  // no queriers
+    for (int map = 0; map < 3; ++map) {  // AS, CC, /24 id maps: empty
+      out.u64(0);
+      out.u64(0);
+    }
+    out.u64(16);  // row map: capacity, size
+    out.u64(1);
+    out.u64(3);  // slot
+    out.u32(addr(192, 0, 2, 1).value());
+    for (int i = 0; i < 6; ++i) out.u64(1);  // token .. norm_periods
+    out.u32(1);  // norm_as
+    out.u32(1);  // norm_cc
+    out.u64(std::uint64_t{1} << 30);  // qids length, then two ids and EOF
+    out.u32(0);
+    out.u32(1);
+    return bytes.str();
+  };
+  for (const bool claim_in_row : {false, true}) {
+    std::istringstream in(truncated(claim_in_row));
+    util::BinaryReader reader(in);
+    FeatureExtractionCache cache;
+    EXPECT_FALSE(cache.load(reader)) << "claim_in_row=" << claim_in_row;
+  }
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1041,6 +1044,152 @@ TEST(AsyncWindows, CloseErrorSurfacesAtQuiesceNotInOffer) {
   driver.offer(rec(250, addr(10, 0, 0, 3), addr(192, 0, 2, 0)));  // seals window 1
   driver.flush();  // second close succeeds; error slot was consumed
   EXPECT_EQ(driver.windows_closed(), 3u);
+}
+
+/// CategoryResolver that counts resolve() calls per querier (extraction
+/// and resolve-ahead may call it from job-system and pool threads).
+class CountingCategoryResolver final : public core::QuerierResolver {
+ public:
+  core::QuerierInfo resolve(IPv4Addr querier) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++counts_[querier.value()];
+    }
+    return base_.resolve(querier);
+  }
+  std::map<std::uint32_t, int> counts() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return counts_;
+  }
+
+ private:
+  CategoryResolver base_;
+  mutable std::mutex mu_;
+  mutable std::map<std::uint32_t, int> counts_;
+};
+
+/// Three 600-second windows of 3,200 records each, every record from a
+/// different querier; a window's first half brings new queriers, its
+/// second half repeats the previous window's.  A 300-second hop thus spans
+/// more than one resolve-ahead batch.
+std::vector<QueryRecord> querier_churn_stream() {
+  std::vector<QueryRecord> records;
+  for (int w = 0; w < 3; ++w) {
+    for (int i = 0; i < 3200; ++i) {
+      const int q = w * 1600 + (i + 1600) % 3200;
+      records.push_back(rec(w * 600 + i * 3 / 16, addr(10, q % 3, q / 256 % 256, q % 256),
+                            addr(192, 0, 2, i % 6)));
+    }
+  }
+  return records;
+}
+
+std::int64_t sched_count(const char* name) { return util::metrics_snapshot().scalar(name); }
+
+TEST(AsyncWindows, ResolveAheadMovesLookupsOffTheCloseWithoutRepeats) {
+  // Queriers resolve while their window is open, on the close queue; the
+  // close only interns.  Each querier is resolved exactly once over the
+  // run, none at close, the memo drains by flush(), and a checkpoint cut
+  // while the memo holds entries resumes byte-identically (the memo is
+  // not persisted: the restored driver resolves those queriers at close).
+  Dbs dbs;
+  const std::vector<QueryRecord> records = querier_churn_stream();
+  std::set<std::uint32_t> distinct;
+  for (const QueryRecord& r : records) distinct.insert(r.querier.value());
+  // 100 s past the first close, behind a full resolve-ahead batch.
+  const std::size_t cut = 3200 + 1100;
+
+  for (const std::int64_t hop : {600, 300}) {
+    SCOPED_TRACE("hop=" + std::to_string(hop));
+    analysis::StreamingConfig sc;
+    sc.window = SimTime::seconds(600);
+    sc.hop = SimTime::seconds(hop);
+    sc.async_windows = true;
+    const auto make_pipeline = [&](const core::QuerierResolver& resolver) {
+      analysis::WindowedPipelineConfig pc = pipeline_config();
+      pc.jobs = std::make_shared<util::JobSystem>(
+          util::JobSystemConfig{.threads = 2, .metric_prefix = {}});
+      auto pipeline =
+          std::make_unique<analysis::WindowedPipeline>(pc, dbs.as_db, dbs.geo_db, resolver);
+      pipeline->set_labels(make_labels());
+      return pipeline;
+    };
+
+    // Uninterrupted run, with a checkpoint taken at the cut.  The reference
+    // saves too: save() publishes every open window's pending tallies, which
+    // moves them between hopping windows' metric blocks.
+    const CountingCategoryResolver resolver;
+    const std::int64_t ahead0 = sched_count("dnsbs.features.queriers_resolved_ahead");
+    const std::int64_t close0 = sched_count("dnsbs.features.queriers_resolved_at_close");
+    auto pipeline = make_pipeline(resolver);
+    analysis::StreamingWindowDriver driver(sc, *pipeline, dbs.as_db, dbs.geo_db, resolver);
+    for (std::size_t i = 0; i < cut; ++i) driver.offer(records[i]);
+    driver.quiesce();
+    EXPECT_GT(pipeline->feature_cache()->resolved_ahead(), 0u);
+    std::stringstream checkpoint;
+    ASSERT_TRUE(driver.save(checkpoint));
+    const std::uint64_t closed_at_cut = driver.windows_closed();
+    for (std::size_t i = cut; i < records.size(); ++i) driver.offer(records[i]);
+    driver.flush();
+    const std::vector<std::string> expect = render_all(*pipeline, /*with_metrics=*/true);
+    ASSERT_EQ(expect.size(), hop == 600 ? 3u : 6u);
+
+    const auto counts = resolver.counts();
+    EXPECT_EQ(counts.size(), distinct.size());
+    for (const auto& [querier, n] : counts) {
+      EXPECT_EQ(n, 1) << "querier " << IPv4Addr(querier).to_string();
+    }
+    EXPECT_EQ(pipeline->feature_cache()->resolved_ahead(), 0u);
+#if DNSBS_METRICS_ENABLED
+    EXPECT_EQ(sched_count("dnsbs.features.queriers_resolved_ahead") - ahead0,
+              static_cast<std::int64_t>(distinct.size()));
+    EXPECT_EQ(sched_count("dnsbs.features.queriers_resolved_at_close") - close0, 0);
+#endif
+
+    // Restore from the cut into a fresh pair and finish the stream.
+    const CountingCategoryResolver resumed_resolver;
+    auto resumed = make_pipeline(resumed_resolver);
+    analysis::StreamingWindowDriver resumed_driver(sc, *resumed, dbs.as_db, dbs.geo_db,
+                                                   resumed_resolver);
+    std::istringstream in(checkpoint.str());
+    ASSERT_TRUE(resumed_driver.restore(in));
+    const std::int64_t close1 = sched_count("dnsbs.features.queriers_resolved_at_close");
+    for (std::size_t i = cut; i < records.size(); ++i) resumed_driver.offer(records[i]);
+    resumed_driver.flush();
+#if DNSBS_METRICS_ENABLED
+    EXPECT_GT(sched_count("dnsbs.features.queriers_resolved_at_close") - close1, 0);
+#endif
+    const std::vector<std::string> tail = render_all(*resumed, /*with_metrics=*/true);
+    ASSERT_EQ(closed_at_cut + tail.size(), expect.size());
+    for (std::size_t i = 0; i < tail.size(); ++i) {
+      EXPECT_EQ(tail[i], expect[closed_at_cut + i]) << "window " << closed_at_cut + i;
+    }
+  }
+}
+
+TEST(AsyncWindows, ResolveAheadMemoDropsQueriersNoCloseInterns) {
+  // Sketch mode keeps only the first queriers of a promoted originator, so
+  // most resolved-ahead queriers never reach an extract.  Each close must
+  // still shed them.
+  Dbs dbs;
+  const CategoryResolver resolver;
+  const std::vector<QueryRecord> records = querier_churn_stream();
+  analysis::WindowedPipelineConfig pc = pipeline_config();
+  pc.sensor.querier_state = core::QuerierStateMode::kSketch;
+  pc.jobs = std::make_shared<util::JobSystem>(
+      util::JobSystemConfig{.threads = 2, .metric_prefix = {}});
+  analysis::StreamingConfig sc;
+  sc.window = SimTime::seconds(600);
+  sc.async_windows = true;
+  analysis::WindowedPipeline pipeline(pc, dbs.as_db, dbs.geo_db, resolver);
+  pipeline.set_labels(make_labels());
+  analysis::StreamingWindowDriver driver(sc, pipeline, dbs.as_db, dbs.geo_db, resolver);
+  for (std::size_t i = 0; i <= 2 * 3200; ++i) driver.offer(records[i]);  // closes window 1
+  driver.quiesce();
+  EXPECT_EQ(pipeline.feature_cache()->resolved_ahead(), 0u);
+  for (std::size_t i = 2 * 3200 + 1; i < records.size(); ++i) driver.offer(records[i]);
+  driver.flush();
+  EXPECT_EQ(pipeline.feature_cache()->resolved_ahead(), 0u);
 }
 
 // ---- component state roundtrips ----------------------------------------

@@ -192,6 +192,11 @@ struct PresetCase {
   ScenarioConfig (*make)(std::uint64_t, double);
 };
 
+// Without this, gtest prints the case as its raw bytes (two pointers), and
+// the ctest names gtest_discover_tests derives from that change with every
+// load address.
+void PrintTo(const PresetCase& c, std::ostream* os) { *os << c.name; }
+
 class PresetTest : public ::testing::TestWithParam<PresetCase> {};
 
 TEST_P(PresetTest, BuildsAndHasAuthorities) {

@@ -411,9 +411,9 @@ struct StreamModeRun {
   double p99_offer_us = 0;
   double max_offer_us = 0;
   double wall_s = 0;  ///< including flush (total work is mode-invariant)
-  /// Deterministic view of each window's metrics delta — the byte-identity
-  /// oracle the two modes are cross-checked against.
-  std::vector<std::string> window_metrics;
+  /// Each window's stats — the oracle the two modes are cross-checked
+  /// against.
+  std::vector<analysis::WindowStats> window_stats;
 };
 
 StreamModeRun run_stream_once(bool async, std::size_t job_threads,
@@ -477,9 +477,7 @@ StreamModeRun run_stream_once(bool async, std::size_t job_threads,
                         sorted.end()) *
       1e6;
 
-  for (auto& result : pipeline.results()) {
-    run.window_metrics.push_back(result.metrics_delta.deterministic_view().to_json());
-  }
+  for (const auto& result : pipeline.results()) run.window_stats.push_back(result.stats);
   return run;
 }
 
@@ -487,9 +485,9 @@ StreamModeRun run_stream_once(bool async, std::size_t job_threads,
 /// BENCH_perf_stream.json gate (tools/check.sh PERF=1).  A multi-window
 /// synthetic stream — every window a fresh cold extraction — is offered
 /// record-at-a-time to the StreamingWindowDriver twice, --async-windows
-/// off then on, and the two modes' per-window deterministic metric deltas
-/// are required to match byte-for-byte (the same oracle the serve tests
-/// use).  Gated axes: sync + async sustained intake, async boundary
+/// off then on, and the two modes' per-window WindowStats are required
+/// to match exactly (the serve tests render the same stats into their
+/// byte-identity oracle).  Gated axes: sync + async sustained intake, async boundary
 /// intake, and the async/sync boundary speedup; the non-smoke run also
 /// enforces the >= 2x boundary-speedup acceptance floor directly.
 int run_stream(int argc, char** argv) {
@@ -564,12 +562,12 @@ int run_stream(int argc, char** argv) {
       best[m].p99_offer_us = std::min(best[m].p99_offer_us, run.p99_offer_us);
       best[m].max_offer_us = std::min(best[m].max_offer_us, run.max_offer_us);
       best[m].wall_s = std::min(best[m].wall_s, run.wall_s);
-      best[m].window_metrics = std::move(run.window_metrics);
+      best[m].window_stats = std::move(run.window_stats);
     }
-    // Byte-identity oracle: both modes must attribute the same
-    // deterministic metric deltas to every window, every repeat.
-    if (best[0].window_metrics != best[1].window_metrics) {
-      std::fprintf(stderr, "stream: async window metrics diverged from sync\n");
+    // Oracle: both modes must give every window the same stats, every
+    // repeat.
+    if (best[0].window_stats != best[1].window_stats) {
+      std::fprintf(stderr, "stream: async window stats diverged from sync\n");
       return 1;
     }
   }
@@ -589,8 +587,8 @@ int run_stream(int argc, char** argv) {
               best[1].max_offer_us);
   std::printf("wall (incl flush)  sync %.2f s, async %.2f s\n", best[0].wall_s,
               best[1].wall_s);
-  std::printf("window metrics     %zu windows byte-identical across modes\n",
-              best[0].window_metrics.size());
+  std::printf("window stats       %zu windows identical across modes\n",
+              best[0].window_stats.size());
 
   if (!smoke && boundary_speedup < 2.0) {
     std::fprintf(stderr,

@@ -24,7 +24,6 @@ WindowedPipeline::WindowedPipeline(WindowedPipelineConfig config,
       as_db_(as_db),
       geo_db_(geo_db),
       resolver_(resolver),
-      last_metrics_(util::metrics_snapshot()),
       jobs_(config.jobs) {
   if (config_.carry_forward) {
     feature_cache_ = std::make_shared<core::FeatureExtractionCache>();
@@ -55,23 +54,47 @@ void WindowedPipeline::enqueue_window(std::span<const dns::QueryRecord> records,
   core::Sensor sensor(config_.sensor, as_db_, geo_db_, resolver_);
   if (feature_cache_) sensor.set_feature_cache(feature_cache_);
   sensor.ingest_all(records);
-  enqueue_sensor_window(sensor, start, end);
+  const std::size_t position = stage_window(sensor, start, end);
+  // Retrain + classify on the serial train queue; the caller is free to
+  // ingest the next window meanwhile.  The job only touches
+  // observations_[position], results_[position], labels_ (read) and
+  // model_ — none of which the next stage_window reads or moves.
+  jobs_->submit(train_queue_, [this, position] { train_and_classify(position); });
 }
 
-void WindowedPipeline::enqueue_sensor_window(core::Sensor& sensor, util::SimTime start,
-                                             util::SimTime end) {
+const WindowResult& WindowedPipeline::close_window(core::Sensor& sensor, util::SimTime start,
+                                                   util::SimTime end,
+                                                   std::uint64_t late_records) {
+  const std::size_t position = stage_window(sensor, start, end);
+  results_[position].stats.late_records = late_records;
+  train_and_classify(position);
+  return results_[position];
+}
+
+std::size_t WindowedPipeline::stage_window(core::Sensor& sensor, util::SimTime start,
+                                           util::SimTime end) {
   DNSBS_SPAN("pipeline.window");
   g_windows.inc();
-  // 1. Extract in the calling thread, then reconcile the sensor's pending
-  //    dedup/aggregate tallies into the registry: a streaming caller feeds
-  //    the sensor via per-record ingest(), which never publishes, and the
-  //    boundary snapshot on the train task must see this window's counts.
-  //    (Idempotent on the batch path — ingest_all already published.)
+  // 1. Extract in the calling thread and take the window's counts from
+  //    its own sensor.  Publishing the sensor's pending tallies keeps the
+  //    process-wide registry cumulative (a streaming caller feeds the
+  //    sensor via per-record ingest(), which never publishes; idempotent
+  //    on the batch path, where ingest_all already did).
   labeling::WindowObservation observation;
   observation.start = start;
   observation.end = end;
   observation.features = sensor.extract_features();
   sensor.publish_metrics();
+  WindowResult result;
+  result.start = start;
+  result.end = end;
+  WindowStats& stats = result.stats;
+  stats.dedup_admitted = sensor.dedup().admitted();
+  stats.dedup_suppressed = sensor.dedup().suppressed();
+  stats.records = stats.dedup_admitted + stats.dedup_suppressed;
+  stats.originators = sensor.aggregator().originator_count();
+  stats.sketch_promotions = sensor.aggregator().promoted_count();
+  stats.interesting = observation.features.size();
 
   // 2. Join the previous window before touching shared state: train and
   //    classify steps must run strictly in window order (the model carries
@@ -89,18 +112,10 @@ void WindowedPipeline::enqueue_sensor_window(core::Sensor& sensor, util::SimTime
   }
 
   const std::size_t position = results_.size();
-  observations_.push_back(std::move(observation));
-  WindowResult result;
   result.index = base_index_ + position;
-  result.start = start;
-  result.end = end;
+  observations_.push_back(std::move(observation));
   results_.push_back(std::move(result));
-
-  // 3. Retrain + classify on the serial train queue; the caller is free
-  //    to ingest the next window meanwhile.  The job only touches
-  //    observations_[position], results_[position], labels_ (read) and
-  //    model_ — none of which step 1 of the next enqueue reads or moves.
-  jobs_->submit(train_queue_, [this, position] { train_and_classify(position); });
+  return position;
 }
 
 void WindowedPipeline::set_next_window_index(std::size_t index) {
@@ -135,7 +150,7 @@ void WindowedPipeline::train_and_classify(std::size_t position) {
   // Classify everything detected, folding each prediction's vote-fraction
   // confidence into the window's decile histogram.
   WindowResult& result = results_[position];
-  result.retrained = retrained;
+  result.stats.retrained = retrained;
   if (model_) {
     for (const auto& fv : observation.features) {
       const auto [cls, confidence] = model_->predict_with_confidence(fv.row());
@@ -146,24 +161,21 @@ void WindowedPipeline::train_and_classify(std::size_t position) {
       ++result.confidence_hist[bucket];
     }
   }
-  g_classified.add(result.classes.size());
+  result.stats.classified = result.classes.size();
+  g_classified.add(result.stats.classified);
 
-  // Window boundary: attribute the registry delta since the previous
-  // boundary to this window (this task chain runs strictly in window
-  // order) and emit one telemetry line per interval.
-  util::MetricsSnapshot now = util::metrics_snapshot();
-  result.metrics_delta = util::MetricsSnapshot::delta(last_metrics_, now);
-  last_metrics_ = std::move(now);
+  // One telemetry line per interval.
+  const WindowStats& stats = result.stats;
   util::log_info(
       "pipeline",
-      util::format("window %zu [%lld, %lld): records=%lld interesting=%lld "
-                   "classified=%zu retrained=%s",
+      util::format("window %zu [%lld, %lld): records=%llu interesting=%llu "
+                   "classified=%llu retrained=%s",
                    index, static_cast<long long>(result.start.secs()),
                    static_cast<long long>(result.end.secs()),
-                   static_cast<long long>(result.metrics_delta.scalar("dnsbs.sensor.records")),
-                   static_cast<long long>(
-                       result.metrics_delta.scalar("dnsbs.sensor.interesting")),
-                   result.classes.size(), retrained ? "yes" : "no"));
+                   static_cast<unsigned long long>(stats.records),
+                   static_cast<unsigned long long>(stats.interesting),
+                   static_cast<unsigned long long>(stats.classified),
+                   retrained ? "yes" : "no"));
 }
 
 const WindowResult& WindowedPipeline::process_window(

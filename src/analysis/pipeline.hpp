@@ -42,10 +42,10 @@ struct WindowedPipelineConfig {
   /// (0 = unlimited).  Long-running daemons set this: WindowResult.index
   /// stays absolute across trims, only the retained prefix is dropped.
   std::size_t history_limit = 0;
-  /// Job system the train+classify chain runs on (queue "train").  Null
-  /// means the pipeline owns a single-worker system of its own; the
-  /// streaming daemon shares one system across its close/train/export
-  /// queues so a bounded worker pool serves the whole window pipeline.
+  /// Job system enqueue_window()'s train+classify chain runs on (queue
+  /// "train").  Null means the pipeline owns a single-worker system of its
+  /// own; the streaming daemon shares one system with its async close
+  /// queue and export queue so a bounded worker pool serves them all.
   std::shared_ptr<util::JobSystem> jobs;
 };
 
@@ -83,30 +83,23 @@ class WindowedPipeline {
 
   /// Streaming variant: the caller owns a Sensor it has been feeding
   /// record-by-record (the dnsbs_serve intake path) and hands it over at
-  /// the window boundary.  Extracts features and reconciles the sensor's
-  /// pending metric tallies in the calling thread, then submits the window
-  /// to the ordered train+classify chain exactly like enqueue_window().
-  /// The sensor should share feature_cache() if carry-forward matters; it
-  /// may be destroyed as soon as this returns.
-  void enqueue_sensor_window(core::Sensor& sensor, util::SimTime start, util::SimTime end);
+  /// the window boundary.  Extracts features, retrains and classifies in
+  /// the calling thread — the streaming driver runs this on its serial
+  /// close queue — and returns the window's result.  `late_records` is
+  /// the caller's late-drop count for the window's stats.  The sensor
+  /// should share feature_cache() if carry-forward matters; it may be
+  /// destroyed as soon as this returns.
+  const WindowResult& close_window(core::Sensor& sensor, util::SimTime start,
+                                   util::SimTime end, std::uint64_t late_records);
 
   /// Joins the in-flight window, if any; rethrows its exception.
   void finish();
 
   /// The job system the train chain runs on (the config's, or the
-  /// pipeline-owned default).  The streaming driver and daemon register
-  /// their close/export queues on it so one worker pool serves the whole
-  /// async window pipeline.
+  /// pipeline-owned default).  The async streaming driver and the daemon
+  /// register their close/export queues on it so one worker pool serves
+  /// the whole window pipeline.
   const std::shared_ptr<util::JobSystem>& jobs() const noexcept { return jobs_; }
-
-  /// The most recently enqueued window's result, joined.  The streaming
-  /// driver patches metrics_delta attribution here (async mode splits the
-  /// delta between drive-thread and close-queue series); everyone else
-  /// should read results().
-  WindowResult& back_result() {
-    finish();
-    return results_.back();
-  }
 
   /// The carry-forward extraction cache (null when carry_forward is off).
   /// Streaming callers attach it to their sensors before ingesting.
@@ -129,19 +122,6 @@ class WindowedPipeline {
   /// empty); asserts via std::logic_error otherwise.
   void set_next_window_index(std::size_t index);
 
-  /// Registry snapshot at the last completed window boundary — the base
-  /// the next window's metrics_delta will be measured against.  Exposed
-  /// for checkpointing; set_boundary_metrics() restores it.  Both join
-  /// in-flight work.
-  const util::MetricsSnapshot& boundary_metrics() {
-    finish();
-    return last_metrics_;
-  }
-  void set_boundary_metrics(util::MetricsSnapshot snapshot) {
-    finish();
-    last_metrics_ = std::move(snapshot);
-  }
-
   /// All windows processed so far, in order.  Joins in-flight work.
   const std::vector<WindowResult>& results() {
     finish();
@@ -163,18 +143,20 @@ class WindowedPipeline {
   }
 
  private:
+  /// Extracts the sensor's features, fills the window's sensor-side stats
+  /// and appends its (not yet classified) result + observation; returns
+  /// the vector position.  Joins the in-flight window first.
+  std::size_t stage_window(core::Sensor& sensor, util::SimTime start, util::SimTime end);
+
   /// Retrain-if-possible + classify for the window at vector `position`
-  /// (absolute index = base_index_ + position); runs on the background
-  /// task chain, strictly in window order.
+  /// (absolute index = base_index_ + position); runs strictly in window
+  /// order, on the train queue (enqueue_window) or inline (close_window).
   void train_and_classify(std::size_t position);
 
   WindowedPipelineConfig config_;
   const netdb::AsDb& as_db_;
   const netdb::GeoDb& geo_db_;
   const core::QuerierResolver& resolver_;
-  /// Registry state at the last window boundary; each finished window's
-  /// metrics_delta is measured against it (on the ordered train task).
-  util::MetricsSnapshot last_metrics_;
   /// Carry-forward extraction cache shared by every window's sensor (null
   /// when config_.carry_forward is off).  Sensor passes run one at a time
   /// on the calling thread, so the cache is never touched concurrently.

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <string_view>
 #include <utility>
 
 #include "util/binio.hpp"
@@ -18,9 +17,10 @@ namespace {
 
 constexpr char kMagic[8] = {'D', 'N', 'S', 'B', 'S', 'C', 'K', 'P'};
 // v2: appended the per-window telemetry history ring (PR 9).
-// v3: appended the drive-side (ingest) attribution snapshot (PR 10) so a
-//     restored driver keeps splitting window metric deltas exactly.
-constexpr std::uint32_t kVersion = 3;
+// v3: appended the drive-side (ingest) attribution snapshot.
+// v4: the three registry snapshots replaced by one late-drop watermark;
+//     window stats come from the window's own state, not the registry.
+constexpr std::uint32_t kVersion = 4;
 
 // All three are deterministic: window opens/closes and lateness are pure
 // functions of the record timestamp stream.
@@ -32,41 +32,6 @@ std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   std::int64_t q = a / b;
   if (a % b != 0 && ((a < 0) != (b < 0))) --q;
   return q;
-}
-
-/// Deterministic series written on the drive (offering) side of the
-/// pipeline: per-packet decode tallies, the daemon's packet counters,
-/// window open/close/lateness bookkeeping, and the per-record aggregate
-/// counters bumped inside Sensor::ingest().  In async mode these keep
-/// advancing while a close job runs, so a window's share of them is
-/// measured between close *enqueues* (where the drive thread is the only
-/// writer) instead of between close-side registry snapshots.  Everything
-/// else that is deterministic publishes on the close side (sensor
-/// watermark reconciliation, extraction, training) in close-queue order.
-bool ingest_side_series(std::string_view name) {
-  return name.starts_with("dnsbs.capture.") || name == "dnsbs.serve.packets" ||
-         name == "dnsbs.serve.bad_stamp" || name == "dnsbs.serve.windows_opened" ||
-         name == "dnsbs.serve.windows_closed" || name == "dnsbs.serve.late_dropped" ||
-         name == "dnsbs.aggregate.originators_created" ||
-         name == "dnsbs.aggregate.sketch_promotions";
-}
-
-/// Overwrites the drive-side series of a close-side delta with the values
-/// measured between close enqueues.  In sync mode the two agree (nothing
-/// runs between seal and train), so patching is an identity there — one
-/// code path serves both modes.
-void apply_ingest_delta(util::MetricsSnapshot& delta,
-                        const util::MetricsSnapshot& ingest_delta) {
-  for (util::MetricValue& v : delta.values) {
-    if (!ingest_side_series(v.name)) continue;
-    if (const util::MetricValue* s = ingest_delta.find(v.name)) {
-      v.count = s->count;
-      v.gauge = s->gauge;
-    } else {
-      v.count = 0;
-      v.gauge = 0;
-    }
-  }
 }
 
 }  // namespace
@@ -81,26 +46,25 @@ StreamingWindowDriver::StreamingWindowDriver(StreamingConfig config,
       as_db_(as_db),
       geo_db_(geo_db),
       resolver_(resolver),
-      jobs_(pipeline.jobs()),
-      ingest_boundary_(util::metrics_snapshot()),
+      jobs_(config.async_windows ? pipeline.jobs()
+                                 : std::make_shared<util::JobSystem>(util::JobSystemConfig{
+                                       .threads = 0, .metric_prefix = {}})),
       telemetry_(config.telemetry_capacity, config.drift_warn_threshold) {
   // 0 or out-of-range hop means tumbling windows; a hop wider than the
   // window would leave uncovered gaps in the stream.
   if (config_.hop.secs() <= 0 || config_.hop > config_.window) {
     config_.hop = config_.window;
   }
-  if (config_.async_windows) close_queue_ = jobs_->queue("close");
+  close_queue_ = jobs_->queue("close");
 }
 
 StreamingWindowDriver::~StreamingWindowDriver() {
   // Queued close jobs reference this driver; they must land before the
   // members they touch go away.  Errors already surfaced (or were owed
   // to) a quiesce barrier.
-  if (config_.async_windows) {
-    try {
-      jobs_->drain(close_queue_);
-    } catch (...) {
-    }
+  try {
+    jobs_->drain(close_queue_);
+  } catch (...) {
   }
 }
 
@@ -119,17 +83,17 @@ void StreamingWindowDriver::open_due_windows(util::SimTime t) {
   }
 }
 
+void StreamingWindowDriver::submit_close_job(std::function<void()> job) {
+  jobs_->submit(close_queue_, std::move(job));
+  if (!config_.async_windows) jobs_->drain(close_queue_);
+}
+
 void StreamingWindowDriver::submit_resolve_ahead() {
   if (resolve_batch_.empty()) return;
-  auto job = [this, batch = std::move(resolve_batch_)] {
+  submit_close_job([this, batch = std::move(resolve_batch_)] {
     pipeline_.feature_cache()->resolve_ahead(batch, as_db_, geo_db_, resolver_);
-  };
+  });
   resolve_batch_.clear();
-  if (config_.async_windows) {
-    jobs_->submit(close_queue_, std::move(job));
-  } else {
-    job();
-  }
 }
 
 void StreamingWindowDriver::close_front() {
@@ -137,37 +101,23 @@ void StreamingWindowDriver::close_front() {
   submit_resolve_ahead();
   OpenWindow window = std::move(windows_.front());
   windows_.pop_front();
-  // Attribution point for drive-side series: everything this thread
-  // bumped since the previous close enqueue belongs to this window —
-  // captured before this close's own windows_closed tick, which (like
-  // the sync path always did) lands in the *next* window's delta.
-  util::MetricsSnapshot now = util::metrics_snapshot();
-  util::MetricsSnapshot ingest_delta =
-      util::MetricsSnapshot::delta(ingest_boundary_, now);
-  ingest_boundary_ = std::move(now);
+  // Late drops since the previous close belong to this window.
+  const std::uint64_t late = late_records_ - late_at_last_close_;
+  late_at_last_close_ = late_records_;
   ++windows_closed_;
   g_closed.inc();
-
-  if (config_.async_windows) {
-    // Hand the sealed sensor to the serial close queue; shared_ptr only
-    // because std::function requires a copyable closure.
-    std::shared_ptr<core::Sensor> sensor(std::move(window.sensor));
-    jobs_->submit(close_queue_,
-                  [this, sensor, start = window.start,
-                   delta = std::move(ingest_delta)] {
-                    complete_window(*sensor, start, delta);
-                  });
-  } else {
-    complete_window(*window.sensor, window.start, ingest_delta);
-  }
+  // Hand the sealed sensor to the serial close queue; shared_ptr only
+  // because std::function requires a copyable closure.
+  std::shared_ptr<core::Sensor> sensor(std::move(window.sensor));
+  submit_close_job([this, sensor, start = window.start, late] {
+    complete_window(*sensor, start, late);
+  });
 }
 
 void StreamingWindowDriver::complete_window(core::Sensor& sensor, util::SimTime start,
-                                            const util::MetricsSnapshot& ingest_delta) {
-  pipeline_.enqueue_sensor_window(sensor, start, start + config_.window);
-  pipeline_.finish();
-  WindowResult& result = pipeline_.back_result();
-  apply_ingest_delta(result.metrics_delta, ingest_delta);
+                                            std::uint64_t late_records) {
+  const WindowResult& result =
+      pipeline_.close_window(sensor, start, start + config_.window, late_records);
   if (config_.telemetry_capacity > 0) record_telemetry(result);
   if (on_close_) on_close_(result, pipeline_.observations().back());
   // Every querier memoized so far came from a record before this window's
@@ -177,19 +127,11 @@ void StreamingWindowDriver::complete_window(core::Sensor& sensor, util::SimTime 
 }
 
 void StreamingWindowDriver::record_telemetry(const WindowResult& r) {
-  const util::MetricsSnapshot& d = r.metrics_delta;
-
   WindowTelemetry entry;
   entry.index = r.index;
   entry.start_secs = r.start.secs();
   entry.end_secs = r.end.secs();
-  entry.records = d.scalar("dnsbs.sensor.records");
-  entry.interesting = d.scalar("dnsbs.sensor.interesting");
-  entry.dedup_admitted = d.scalar("dnsbs.dedup.admitted");
-  entry.dedup_suppressed = d.scalar("dnsbs.dedup.suppressed");
-  entry.late_records = d.scalar("dnsbs.serve.late_dropped");
-  entry.classified = r.classes.size();
-  entry.retrained = r.retrained;
+  entry.stats = r.stats;
   entry.confidence_hist = r.confidence_hist;
   for (const auto& [addr, cls] : r.classes) {
     const auto i = static_cast<std::size_t>(cls);
@@ -247,10 +189,7 @@ void StreamingWindowDriver::flush() {
   quiesce();
 }
 
-void StreamingWindowDriver::quiesce() {
-  if (config_.async_windows) jobs_->drain(close_queue_);
-  pipeline_.finish();
-}
+void StreamingWindowDriver::quiesce() { jobs_->drain(close_queue_); }
 
 void StreamingWindowDriver::publish_pending_metrics() {
   quiesce();
@@ -258,11 +197,9 @@ void StreamingWindowDriver::publish_pending_metrics() {
 }
 
 bool StreamingWindowDriver::save(std::ostream& out_stream) {
-  // Quiesce: land queued close work and the train chain, then reconcile
-  // every open sensor's pending tallies into the registry so the snapshot
-  // written below matches the published watermarks serialized with each
-  // sensor.  A checkpoint requested mid-close is therefore slot-exact.
-  publish_pending_metrics();
+  // Land queued close work first: a checkpoint requested mid-close is
+  // therefore slot-exact.
+  quiesce();
 
   util::BinaryWriter out(out_stream);
   out.bytes(kMagic, sizeof(kMagic));
@@ -274,10 +211,7 @@ bool StreamingWindowDriver::save(std::ostream& out_stream) {
   out.i64(stream_time_.secs());
   out.u64(windows_closed_);
   out.u64(late_records_);
-  pipeline_.boundary_metrics().save(out);
-  ingest_boundary_.save(out);
-  const util::MetricsSnapshot registry = util::metrics_snapshot();
-  registry.save(out);
+  out.u64(late_at_last_close_);
   const auto& cache = pipeline_.feature_cache();
   out.u8(cache ? 1 : 0);
   if (cache) cache->save(out);
@@ -306,10 +240,8 @@ bool StreamingWindowDriver::restore(std::istream& in_stream) {
   stream_time_ = util::SimTime::seconds(in.i64());
   windows_closed_ = in.u64();
   late_records_ = in.u64();
-  util::MetricsSnapshot boundary;
-  util::MetricsSnapshot ingest_boundary;
-  util::MetricsSnapshot registry;
-  if (!boundary.load(in) || !ingest_boundary.load(in) || !registry.load(in)) return false;
+  late_at_last_close_ = in.u64();
+  if (late_at_last_close_ > late_records_) return false;
   const bool has_cache = in.u8() != 0;
   if (!in.ok() || has_cache != (pipeline_.feature_cache() != nullptr)) return false;
   if (has_cache && !pipeline_.feature_cache()->load(in)) return false;
@@ -324,14 +256,8 @@ bool StreamingWindowDriver::restore(std::istream& in_stream) {
   if (!telemetry_.load(in)) return false;
   queue_depth_peak_.store(in.i64(), std::memory_order_relaxed);
   if (!in.ok()) return false;
-  // State validated: install the registry and window numbering.  The
-  // registry already contains the checkpoint-time tallies; the restored
-  // sensors' watermarks agree, so nothing double-publishes.
-  util::metrics_restore(registry);
-  pipeline_.set_boundary_metrics(std::move(boundary));
-  ingest_boundary_ = std::move(ingest_boundary);
   pipeline_.set_next_window_index(windows_closed_);
-  return in.ok();
+  return true;
 }
 
 }  // namespace dnsbs::analysis

@@ -6,36 +6,33 @@
 // StreamingWindowDriver turns a record-at-a-time stream into the same
 // per-window Sensor passes the batch path runs: it keeps a Sensor per open
 // window on a fixed hop grid, feeds every record to all covering windows,
-// and hands each window to the WindowedPipeline's ordered train+classify
-// chain when stream time passes its end.
+// and closes each window through WindowedPipeline::close_window when
+// stream time passes its end.
 //
-// Two execution modes, one output contract:
+// One close path: a close always seals the window's sensor and submits
+// it to the serial "close" queue, where feature extraction, retraining,
+// classification, telemetry and the close callback run in order.  The
+// two execution modes differ only in where that queue lives:
 //
-//   * synchronous (async_windows = false): a window close runs feature
-//     extraction, training, classification, telemetry and the close
-//     callback inline in offer() — the caller stalls for the duration.
-//   * asynchronous (async_windows = true): offer() only assigns records
-//     to open sensors; a close hands the sealed sensor to the job
-//     system's serial "close" queue, where the same steps run while the
-//     caller keeps ingesting.
+//   * asynchronous (async_windows = true): on the pipeline's shared job
+//     system; offer() returns at once and the caller keeps ingesting
+//     while the close runs on a worker.
+//   * synchronous (async_windows = false): on a private job system with
+//     no workers, drained right after each submit, so the close runs
+//     inline in offer() — the caller stalls for the duration.
 //
-// The async mode emits byte-identical windows, telemetry and
-// deterministic metric deltas.  The argument: (1) the close queue is
-// FIFO-serial, so every registry mutation made by close work happens in
-// exactly the sync order; (2) deterministic series bumped on the *drive*
-// side (capture decode, packet counts, window opens/closes, lateness,
-// per-record aggregate creation/promotion) keep advancing during an async
-// close, so each window's share of those series is snapshotted at close
-// *enqueue* time — between two enqueues the drive thread is the only
-// writer — and patched over the close-side delta, reproducing the sync
-// attribution exactly.  Scheduling-shaped series (sched flag, histograms)
-// are outside the contract, as everywhere else.
+// Both modes emit byte-identical windows and telemetry: the close queue
+// is FIFO-serial, so close work happens in the same order either way, and
+// each window's WindowStats come from the window's own sealed sensor plus
+// the late-drop count the drive thread hands its close job — never from
+// the process-wide registry, which other windows, scrapes and checkpoints
+// also write to.
 //
 // Resolve-ahead (carry_forward on): offer() also collects each covered
-// record's querier into a batch that resolves on the close queue (inline
-// in sync mode) every kResolveAheadBatch records and once more just
-// before each close is queued.  Reverse-name lookups thus run while the
-// window is open, and its close only interns (core/feature_engine.hpp).
+// record's querier into a batch that resolves on the close queue every
+// kResolveAheadBatch records and once more just before each close is
+// queued.  Reverse-name lookups thus run while the window is open, and
+// its close only interns (core/feature_engine.hpp).
 //
 // Clocking is stream time, not wall time: windows open and close as record
 // timestamps advance, so replaying a capture yields byte-identical results
@@ -64,9 +61,9 @@ struct StreamingConfig {
   /// smaller values give overlapping (sliding) windows.  Must not exceed
   /// the window width (gaps would silently drop records).
   util::SimTime hop{};
-  /// Run window closes on the pipeline's job system ("close" queue)
-  /// instead of inline in offer().  Output stays byte-identical (see the
-  /// header comment); offer() stops stalling across window boundaries.
+  /// Run window closes on the pipeline's job system instead of inline in
+  /// offer().  Output stays byte-identical (see the header comment);
+  /// offer() stops stalling across window boundaries.
   /// Errors thrown by async close work surface at the next quiesce
   /// barrier (flush/save/publish_pending_metrics) instead of in offer().
   bool async_windows = false;
@@ -115,36 +112,34 @@ class StreamingWindowDriver {
   /// stopped mid-window.
   void flush();
 
-  /// Barrier: drains the close queue (async mode) and joins the
-  /// pipeline's in-flight window.  On return no close work is running
-  /// and none is queued; rethrows the first error captured by async
-  /// close work.
+  /// Barrier: drains the close queue.  On return no close work is
+  /// running and none is queued; rethrows the first error captured by
+  /// async close work.
   void quiesce();
 
   void set_window_close_callback(WindowCloseFn fn) { on_close_ = std::move(fn); }
 
-  /// Serializes the full resumable state: stream clock, per-open-window
-  /// sensor state (dedup + aggregates), the shared feature cache, the
-  /// pipeline's boundary snapshot, the drive-side attribution snapshot
-  /// and the whole metrics registry.  Quiesces first (a checkpoint taken
-  /// mid-close waits for the close to land), so the registry snapshot
-  /// matches the sensor watermarks being serialized — slot-exact in
-  /// either mode.
+  /// Serializes the full resumable state: stream clock, late-drop
+  /// watermark, per-open-window sensor state (dedup + aggregates), the
+  /// shared feature cache and the telemetry ring.  Quiesces first (a
+  /// checkpoint taken mid-close waits for the close to land), so the
+  /// image is slot-exact in either mode.  The metrics registry is not
+  /// saved: it is process-cumulative, and a restarted process's counters
+  /// start from zero, as Prometheus counters may.
   bool save(std::ostream& out);
 
   /// Restores state saved by save().  Must run on a freshly constructed
   /// driver + pipeline pair (same window grid; async_windows may differ —
   /// it is an execution strategy, not part of the stream's identity)
-  /// before any offer(); restores the registry, so call it before other
-  /// components publish.  Returns false (state unspecified — discard the
+  /// before any offer().  Returns false (state unspecified — discard the
   /// pair) on mismatch/corruption.
   bool restore(std::istream& in);
 
-  /// save()'s quiesce without the serialization: drains close work and
-  /// reconciles every open sensor's pending tallies into the registry.
-  /// The daemon's /metrics scrape runs this first so the served snapshot
-  /// matches what an exit-time --metrics-out dump of the same stream
-  /// would contain.
+  /// Drains close work and reconciles every open sensor's pending tallies
+  /// into the registry.  The daemon's /metrics scrape runs this first so
+  /// the served snapshot matches what an exit-time --metrics-out dump of
+  /// the same stream would contain.  Window stats do not read the
+  /// registry, so a scrape never changes them.
   void publish_pending_metrics();
 
   std::size_t open_windows() const noexcept { return windows_.size(); }
@@ -187,15 +182,16 @@ class StreamingWindowDriver {
 
   std::unique_ptr<core::Sensor> make_sensor() const;
   void open_due_windows(util::SimTime t);
+  /// Queues a job on the close queue; in sync mode drains it at once, so
+  /// the job has run (and any error it threw is rethrown) on return.
+  void submit_close_job(std::function<void()> job);
   /// Hands the pending querier batch to the shared feature cache's
-  /// resolve-ahead memo: queued on the close queue (async) or run inline.
+  /// resolve-ahead memo.
   void submit_resolve_ahead();
   void close_front();
-  /// The close work shared by both modes: pipeline pass, delta patch,
-  /// telemetry, close callback.  Runs on the drive thread (sync) or the
-  /// close queue (async).
+  /// The close job: pipeline pass, telemetry, close callback.
   void complete_window(core::Sensor& sensor, util::SimTime start,
-                       const util::MetricsSnapshot& ingest_delta);
+                       std::uint64_t late_records);
   void record_telemetry(const WindowResult& result);
 
   StreamingConfig config_;
@@ -203,8 +199,8 @@ class StreamingWindowDriver {
   const netdb::AsDb& as_db_;
   const netdb::GeoDb& geo_db_;
   const core::QuerierResolver& resolver_;
-  /// Job system shared with the pipeline; close_queue_ is registered on
-  /// it when async_windows is on.
+  /// Where close_queue_ lives: the pipeline's shared job system (async)
+  /// or a private one with no workers (sync).
   std::shared_ptr<util::JobSystem> jobs_;
   util::JobSystem::QueueId close_queue_ = 0;
   std::deque<OpenWindow> windows_;
@@ -216,9 +212,9 @@ class StreamingWindowDriver {
   util::SimTime stream_time_{};
   std::uint64_t windows_closed_ = 0;
   std::uint64_t late_records_ = 0;
-  /// Registry state at the last close *enqueue*: the base each window's
-  /// drive-side series delta is measured against (see header comment).
-  util::MetricsSnapshot ingest_boundary_;
+  /// late_records_ at the last close: the next window's late count is
+  /// measured from here.
+  std::uint64_t late_at_last_close_ = 0;
   WindowCloseFn on_close_;
   TelemetryHistory telemetry_;
   std::atomic<std::int64_t> queue_depth_peak_{0};

@@ -23,9 +23,9 @@ void append_double(std::string& out, double v) {
 /// Class mix as fractions; all-zero when the window predicted nothing.
 std::array<double, core::kAppClassCount> mix_of(const WindowTelemetry& e) {
   std::array<double, core::kAppClassCount> mix{};
-  if (e.classified == 0) return mix;
+  if (e.stats.classified == 0) return mix;
   for (std::size_t i = 0; i < mix.size(); ++i) {
-    mix[i] = static_cast<double>(e.class_counts[i]) / static_cast<double>(e.classified);
+    mix[i] = static_cast<double>(e.class_counts[i]) / static_cast<double>(e.stats.classified);
   }
   return mix;
 }
@@ -40,13 +40,14 @@ TelemetryHistory::TelemetryHistory(std::size_t capacity, double drift_warn_thres
       min_baseline_(min_baseline) {}
 
 const WindowTelemetry& TelemetryHistory::record(WindowTelemetry entry) {
-  const std::int64_t dedup_total = entry.dedup_admitted + entry.dedup_suppressed;
-  entry.dedup_ratio = dedup_total > 0 ? static_cast<double>(entry.dedup_suppressed) /
+  const WindowStats& stats = entry.stats;
+  const std::uint64_t dedup_total = stats.dedup_admitted + stats.dedup_suppressed;
+  entry.dedup_ratio = dedup_total > 0 ? static_cast<double>(stats.dedup_suppressed) /
                                             static_cast<double>(dedup_total)
                                       : 0.0;
-  const std::int64_t offered = entry.late_records + entry.records;
+  const std::uint64_t offered = stats.late_records + stats.records;
   entry.late_rate =
-      offered > 0 ? static_cast<double>(entry.late_records) / static_cast<double>(offered)
+      offered > 0 ? static_cast<double>(stats.late_records) / static_cast<double>(offered)
                   : 0.0;
 
   // Drift: total-variation distance between this window's class mix and
@@ -57,12 +58,12 @@ const WindowTelemetry& TelemetryHistory::record(WindowTelemetry entry) {
   std::size_t contributing = 0;
   for (auto it = entries_.rbegin();
        it != entries_.rend() && contributing < baseline_windows_; ++it) {
-    if (it->classified == 0) continue;
+    if (it->stats.classified == 0) continue;
     const auto mix = mix_of(*it);
     for (std::size_t i = 0; i < baseline.size(); ++i) baseline[i] += mix[i];
     ++contributing;
   }
-  if (contributing > 0 && entry.classified > 0) {
+  if (contributing > 0 && stats.classified > 0) {
     const auto mix = mix_of(entry);
     double l1 = 0.0;
     for (std::size_t i = 0; i < baseline.size(); ++i) {
@@ -91,23 +92,24 @@ std::string TelemetryHistory::to_json(std::size_t last_n) const {
   bool first_entry = true;
   for (std::size_t k = entries_.size() - n; k < entries_.size(); ++k) {
     const WindowTelemetry& e = entries_[k];
+    const WindowStats& s = e.stats;
     if (!first_entry) out += ",";
     first_entry = false;
     out += "{\"index\":" + std::to_string(e.index);
     out += ",\"start\":" + std::to_string(e.start_secs);
     out += ",\"end\":" + std::to_string(e.end_secs);
-    out += ",\"records\":" + std::to_string(e.records);
-    out += ",\"interesting\":" + std::to_string(e.interesting);
-    out += ",\"dedup\":{\"admitted\":" + std::to_string(e.dedup_admitted);
-    out += ",\"suppressed\":" + std::to_string(e.dedup_suppressed);
+    out += ",\"records\":" + std::to_string(s.records);
+    out += ",\"interesting\":" + std::to_string(s.interesting);
+    out += ",\"dedup\":{\"admitted\":" + std::to_string(s.dedup_admitted);
+    out += ",\"suppressed\":" + std::to_string(s.dedup_suppressed);
     out += ",\"ratio\":";
     append_double(out, e.dedup_ratio);
-    out += "},\"late\":{\"records\":" + std::to_string(e.late_records);
+    out += "},\"late\":{\"records\":" + std::to_string(s.late_records);
     out += ",\"rate\":";
     append_double(out, e.late_rate);
-    out += "},\"classified\":" + std::to_string(e.classified);
+    out += "},\"classified\":" + std::to_string(s.classified);
     out += ",\"retrained\":";
-    out += e.retrained ? "true" : "false";
+    out += s.retrained ? "true" : "false";
     out += ",\"confidence\":[";
     for (std::size_t i = 0; i < e.confidence_hist.size(); ++i) {
       if (i != 0) out += ",";
@@ -122,8 +124,8 @@ std::string TelemetryHistory::to_json(std::size_t last_n) const {
       out += "\"";
       out += i < names.size() ? names[i] : std::to_string(i);
       out += "\":";
-      append_double(out, e.classified > 0 ? static_cast<double>(e.class_counts[i]) /
-                                                static_cast<double>(e.classified)
+      append_double(out, s.classified > 0 ? static_cast<double>(e.class_counts[i]) /
+                                                static_cast<double>(s.classified)
                                           : 0.0);
     }
     out += "},\"drift\":";
@@ -144,13 +146,13 @@ void TelemetryHistory::save(util::BinaryWriter& out) const {
     out.u64(e.index);
     out.i64(e.start_secs);
     out.i64(e.end_secs);
-    out.i64(e.records);
-    out.i64(e.interesting);
-    out.i64(e.dedup_admitted);
-    out.i64(e.dedup_suppressed);
-    out.i64(e.late_records);
-    out.u64(e.classified);
-    out.u8(e.retrained ? 1 : 0);
+    const WindowStats& s = e.stats;
+    for (const std::uint64_t v :
+         {s.records, s.dedup_admitted, s.dedup_suppressed, s.originators,
+          s.sketch_promotions, s.interesting, s.late_records, s.classified}) {
+      out.u64(v);
+    }
+    out.u8(s.retrained ? 1 : 0);
     for (const std::uint64_t b : e.confidence_hist) out.u64(b);
     for (const std::uint64_t c : e.class_counts) out.u64(c);
     out.f64(e.dedup_ratio);
@@ -172,13 +174,13 @@ bool TelemetryHistory::load(util::BinaryReader& in) {
     e.index = in.u64();
     e.start_secs = in.i64();
     e.end_secs = in.i64();
-    e.records = in.i64();
-    e.interesting = in.i64();
-    e.dedup_admitted = in.i64();
-    e.dedup_suppressed = in.i64();
-    e.late_records = in.i64();
-    e.classified = in.u64();
-    e.retrained = in.u8() != 0;
+    WindowStats& s = e.stats;
+    for (std::uint64_t* v :
+         {&s.records, &s.dedup_admitted, &s.dedup_suppressed, &s.originators,
+          &s.sketch_promotions, &s.interesting, &s.late_records, &s.classified}) {
+      *v = in.u64();
+    }
+    s.retrained = in.u8() != 0;
     for (std::uint64_t& b : e.confidence_hist) b = in.u64();
     for (std::uint64_t& c : e.class_counts) c = in.u64();
     e.dedup_ratio = in.f64();

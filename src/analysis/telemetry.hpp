@@ -3,10 +3,10 @@
 // served by the daemon's HISTORY verb and GET /windows endpoint.
 //
 // Every field except the `sched`-grouped ones is derived from the
-// window's deterministic metrics_delta and WindowResult, so the rendered
-// history (minus the "sched" object) is byte-identical across
-// DNSBS_THREADS and across checkpoint/restore — the same contract the
-// window summary files carry.  The full entries (including sched fields
+// window's WindowResult (its WindowStats, confidence histogram and
+// classes), so the rendered history (minus the "sched" object) is
+// byte-identical across DNSBS_THREADS and across checkpoint/restore — the
+// same contract the window summary files carry.  The full entries (including sched fields
 // like the intake queue watermark) ride in the checkpoint, so a restored
 // daemon answers HISTORY exactly as the killed one would have.
 #pragma once
@@ -18,6 +18,7 @@
 #include <string>
 
 #include "analysis/window_result.hpp"
+#include "util/binio.hpp"
 
 namespace dnsbs::analysis {
 
@@ -26,14 +27,8 @@ struct WindowTelemetry {
   std::int64_t start_secs = 0;
   std::int64_t end_secs = 0;
 
-  // Raw deterministic inputs (window metrics_delta / WindowResult).
-  std::int64_t records = 0;           ///< dnsbs.sensor.records delta
-  std::int64_t interesting = 0;       ///< dnsbs.sensor.interesting delta
-  std::int64_t dedup_admitted = 0;    ///< dnsbs.dedup.admitted delta
-  std::int64_t dedup_suppressed = 0;  ///< dnsbs.dedup.suppressed delta
-  std::int64_t late_records = 0;      ///< dnsbs.serve.late_dropped delta
-  std::uint64_t classified = 0;
-  bool retrained = false;
+  // Raw deterministic inputs (the window's WindowResult).
+  WindowStats stats;
   std::array<std::uint64_t, kConfidenceBuckets> confidence_hist{};
   /// Predictions per application class (index = core::AppClass value).
   std::array<std::uint64_t, core::kAppClassCount> class_counts{};

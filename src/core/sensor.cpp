@@ -155,10 +155,8 @@ void Sensor::ingest_all(std::span<const dns::QueryRecord> records) {
 }
 
 void Sensor::save_state(util::BinaryWriter& out) const {
-  // Pin the published watermarks first: after a restore the registry holds
-  // whatever the snapshot (taken alongside this state) says, so the
-  // restored sensor must consider exactly the serialized tallies already
-  // published.
+  // Pin the published watermarks first: the restored sensor considers
+  // exactly the serialized tallies already published.
   publish_metrics();
   dedup_.save(out);
   aggregator_.save(out);
@@ -166,8 +164,8 @@ void Sensor::save_state(util::BinaryWriter& out) const {
 
 bool Sensor::load_state(util::BinaryReader& in) {
   if (!dedup_.load(in) || !aggregator_.load(in)) return false;
-  // The uninterrupted process already published these counts; the registry
-  // snapshot restores them separately.  Re-publishing would double-count.
+  // The saving process already published these counts; this process's
+  // registry starts from zero and counts only the records it receives.
   published_admitted_ = dedup_.admitted();
   published_suppressed_ = dedup_.suppressed();
   // Row cache and engine refer to pre-restore state; rebuild lazily.

@@ -91,15 +91,14 @@ class Sensor {
   /// Checkpoints the window state (dedup + aggregator) for a later
   /// load_state() into a Sensor built with the same config.  Does NOT
   /// serialize the extraction cache — the daemon checkpoints the shared
-  /// cache once, not per window.  Callers must publish_metrics() first if
-  /// registry deltas matter (save_state does it to pin the published
-  /// watermarks to the serialized tallies).
+  /// cache once, not per window.  Publishes pending tallies first, so the
+  /// serialized tallies are exactly the published ones.
   void save_state(util::BinaryWriter& out) const;
 
   /// Restores dedup + aggregator state.  The published watermarks are set
-  /// to the restored tallies: the uninterrupted process already pushed
-  /// those counts to the registry, and the registry snapshot is restored
-  /// separately, so re-publishing them here would double-count.  Resets
+  /// to the restored tallies: the saving process already published those
+  /// counts, and the restoring process's registry counts only records it
+  /// receives itself (counters reset on restart).  Resets
   /// the lazily-built engine so the next extract_features() stamps a fresh
   /// interval token.  Returns false on config mismatch or corrupt stream.
   bool load_state(util::BinaryReader& in);

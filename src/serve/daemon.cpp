@@ -81,8 +81,9 @@ ServeDaemon::ServeDaemon(ServeConfig config, const netdb::AsDb& as_db,
       jobs_(std::make_shared<util::JobSystem>(util::JobSystemConfig{
           .threads = config_.job_threads, .metric_prefix = "dnsbs.serve.jobs"})),
       queue_(config_.queue_capacity) {
-  // One pool, three serial queues: the pipeline registers "train", the
-  // driver "close" (async mode), the daemon "export".
+  // One pool, three serial queues: the pipeline registers "train" (idle
+  // here: closes train inline), the driver "close" (async mode), the
+  // daemon "export".
   config_.pipeline.jobs = jobs_;
   export_queue_ = jobs_->queue("export");
   pipeline_ = std::make_unique<analysis::WindowedPipeline>(config_.pipeline, as_db_,
@@ -561,14 +562,9 @@ std::string render_window_summary(const analysis::WindowResult& r,
         << " footprint=" << (footprint != r.footprints.end() ? footprint->second : 0)
         << "\n";
   }
-  const util::MetricsSnapshot det = r.metrics_delta.deterministic_view();
-  out << "metrics " << det.values.size() << "\n";
-  for (const util::MetricValue& v : det.values) {
-    out << "metric " << v.name << '='
-        << (v.kind == util::MetricKind::kGauge ? v.gauge
-                                               : static_cast<std::int64_t>(v.count))
-        << "\n";
-  }
+  const auto series = r.stats.series();
+  out << "metrics " << series.size() << "\n";
+  for (const auto& [name, value] : series) out << "metric " << name << '=' << value << "\n";
   out << "end\n";
   return out.str();
 }
@@ -585,15 +581,13 @@ void ServeDaemon::on_window_close(const analysis::WindowResult& result,
     ready = sequencer_.push(result.index, std::move(block));
   }
   if (ready.empty()) return;
-  if (config_.streaming.async_windows) {
-    // File appends ride the serial export queue; blocks leave the (also
-    // serial) close queue in window order, so appends land in order too.
-    jobs_->submit(export_queue_, [this, blocks = std::move(ready)] {
-      append_summaries(blocks);
-    });
-  } else {
-    append_summaries(ready);
-  }
+  // File appends ride the serial export queue; blocks leave the (also
+  // serial) close queue in window order, so appends land in order too.
+  jobs_->submit(export_queue_, [this, blocks = std::move(ready)] {
+    append_summaries(blocks);
+  });
+  // Sync mode: the summary is on disk before offer() returns.
+  if (!config_.streaming.async_windows) jobs_->drain(export_queue_);
 }
 
 void ServeDaemon::append_summaries(const std::vector<std::string>& blocks) {

@@ -15,25 +15,32 @@
 //                 control requests, checkpoints, starts/stops timed trace
 //                 captures (TRACE <secs>)
 //
-// Plus a shared util::JobSystem (the async window pipeline) with three
-// serial queues on one small worker pool:
+// Plus a shared util::JobSystem (the async window pipeline) with serial
+// queues on one small worker pool:
 //
 //   close   resolve-ahead batches: reverse-name/AS/geo lookups of the
 //           queriers offered so far, while their window is still open;
 //           window seal -> feature extraction (interning the resolved
-//           queriers), retrain gate, classify, telemetry
-//           (StreamingWindowDriver, --async-windows on; with carry-forward
-//           off there is no shared cache and lookups stay in extraction)
-//   train   the pipeline's ordered retrain+classify chain
-//   export  --windows-out summary appends (rendered on the closing
-//           thread, re-sequenced by absolute window index) and TRACE
-//           dump serialization — file I/O never blocks intake
+//           queriers), retrain gate, classify, telemetry, summary render
+//           (StreamingWindowDriver; with carry-forward off there is no
+//           shared cache and lookups stay in extraction)
+//   export  --windows-out summary appends (re-sequenced by absolute
+//           window index) and TRACE dump serialization — file I/O never
+//           blocks intake
 //
-// Determinism: everything that feeds deterministic metric series — packet
-// decode, dedup/aggregate ingest, window close — runs either on the single
-// drive thread in arrival order or on a serial queue in window order, so a
-// replayed stream produces byte-identical windows in both --async-windows
-// modes (see analysis/streaming.hpp for the attribution argument).
+// Every close and every summary append goes through its queue.  With
+// --async-windows off the close queue lives on a private job system with
+// no workers, and the drive thread drains each queue right after it
+// submits to it, so the same jobs run inline.  (The pipeline's "train"
+// queue is registered on the pool too, but stays idle: the close job
+// retrains and classifies itself.)
+//
+// Determinism: everything that feeds deterministic state — packet decode,
+// dedup/aggregate ingest, window close — runs either on the single drive
+// thread in arrival order or on a serial queue in window order, and each
+// window's stats come from its own sensor, so a replayed stream produces
+// byte-identical windows in both --async-windows modes (see
+// analysis/streaming.hpp).
 // Socket-side tallies (datagrams seen, queue drops, frames) and the
 // dnsbs.serve.jobs.* queue gauges are sched-flagged: they depend on kernel
 // timing, not on the stream.  Control verbs that read shared state (STATS,
@@ -68,8 +75,9 @@ namespace dnsbs::serve {
 
 /// Renders one closed window as the --windows-out text block ("window N
 /// ... end\n"): features as hexfloat rows, classes sorted by address, the
-/// deterministic view of the window's metrics delta.  Pure function of the
-/// result + observation, so sync and async modes share the exact bytes.
+/// window's WindowStats as "metric <series>=<value>" lines.  Pure function
+/// of the result + observation, so sync and async modes share the exact
+/// bytes.
 std::string render_window_summary(const analysis::WindowResult& result,
                                   const labeling::WindowObservation& observation);
 
@@ -118,7 +126,7 @@ struct ServeConfig {
   std::uint16_t status_port = 0;  ///< control socket; 0 = ephemeral
   bool stamped = false;           ///< replay framing (see header comment)
   std::size_t queue_capacity = 65536;
-  /// Worker threads of the shared job system (close/train/export queues).
+  /// Worker threads of the shared job system (close/export queues).
   /// Output is byte-identical for any value — the queues are serial; more
   /// workers only add queue-to-queue overlap.
   std::size_t job_threads = 2;
@@ -185,11 +193,11 @@ class ServeDaemon {
   void drain_intake();
   /// Driver close callback: renders the summary block (on the closing
   /// thread — a job worker in async mode), sequences it, and appends to
-  /// --windows-out (inline in sync mode, via the export queue in async).
+  /// --windows-out via the export queue (drained at once in sync mode).
   void on_window_close(const analysis::WindowResult& result,
                        const labeling::WindowObservation& observation);
   void append_summaries(const std::vector<std::string>& blocks);
-  /// Barrier: close + train + export work all landed (STATS/HISTORY/FLUSH/
+  /// Barrier: close + export work all landed (STATS/HISTORY/FLUSH/
   /// CHECKPOINT and loop exit run behind it).
   void quiesce_pipeline();
   void finish_trace();
@@ -200,8 +208,9 @@ class ServeDaemon {
   const core::QuerierResolver& resolver_;
 
   /// One worker pool for the whole async window pipeline; the pipeline's
-  /// "train" queue, the driver's "close" queue and the daemon's "export"
-  /// queue all live here (metric prefix dnsbs.serve.jobs).  Declared
+  /// (idle) "train" queue, the driver's "close" queue in async mode and
+  /// the daemon's "export" queue live here (metric prefix
+  /// dnsbs.serve.jobs).  Declared
   /// before pipeline_/driver_ so their destructors (which drain their
   /// queues) run first.
   std::shared_ptr<util::JobSystem> jobs_;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 
-#include "util/binio.hpp"
 #include "util/trace.hpp"
 
 namespace dnsbs::util {
@@ -157,25 +156,6 @@ MetricsSnapshot metrics_snapshot() { return Registry::instance().snapshot(); }
 
 void metrics_reset() { Registry::instance().reset(); }
 
-void metrics_restore(const MetricsSnapshot& snap) {
-  Registry::instance().reset();
-  for (const MetricValue& v : snap.values) {
-    switch (v.kind) {
-      case MetricKind::kCounter: {
-        MetricCounter& c = Registry::instance().counter(v.name, v.sched);
-        c.reset();
-        if (v.count != 0) c.add(v.count);
-        break;
-      }
-      case MetricKind::kGauge:
-        Registry::instance().gauge(v.name, v.sched).set(v.gauge);
-        break;
-      case MetricKind::kHistogram:
-        break;  // durations: not restorable, not part of the contract
-    }
-  }
-}
-
 ScopedSpan::ScopedSpan(const char* stage) noexcept
     : start_ns_(metrics_now_ns()), stage_(stage), traced_(false) {
   if (tls_span_depth < kMaxSpanDepth) {
@@ -219,8 +199,6 @@ MetricGauge& metrics_gauge(std::string_view, bool) { return g_noop_gauge; }
 MetricHistogram& metrics_histogram(std::string_view) { return g_noop_histogram; }
 MetricsSnapshot metrics_snapshot() { return {}; }
 void metrics_reset() {}
-void metrics_restore(const MetricsSnapshot&) {}
-
 ScopedSpan::ScopedSpan(const char*) noexcept {}
 ScopedSpan::~ScopedSpan() = default;
 
@@ -351,50 +329,6 @@ std::string MetricsSnapshot::to_json() const {
   }
   out += "\n  ]\n}\n";
   return out;
-}
-
-void MetricsSnapshot::save(BinaryWriter& out) const {
-  std::uint64_t n = 0;
-  for (const MetricValue& v : values) {
-    if (v.kind != MetricKind::kHistogram) ++n;
-  }
-  out.u64(n);
-  for (const MetricValue& v : values) {
-    if (v.kind == MetricKind::kHistogram) continue;
-    out.str(v.name);
-    out.u8(static_cast<std::uint8_t>(v.kind));
-    out.u8(v.sched ? 1 : 0);
-    if (v.kind == MetricKind::kCounter) {
-      out.u64(v.count);
-    } else {
-      out.i64(v.gauge);
-    }
-  }
-}
-
-bool MetricsSnapshot::load(BinaryReader& in) {
-  values.clear();
-  const std::uint64_t n = in.u64();
-  if (!in.ok()) return false;
-  values.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    MetricValue v;
-    v.name = in.str();
-    const std::uint8_t kind = in.u8();
-    v.sched = in.u8() != 0;
-    if (kind == static_cast<std::uint8_t>(MetricKind::kCounter)) {
-      v.kind = MetricKind::kCounter;
-      v.count = in.u64();
-    } else if (kind == static_cast<std::uint8_t>(MetricKind::kGauge)) {
-      v.kind = MetricKind::kGauge;
-      v.gauge = in.i64();
-    } else {
-      in.fail();
-    }
-    if (!in.ok()) return false;
-    values.push_back(std::move(v));
-  }
-  return true;
 }
 
 std::string MetricsSnapshot::to_prometheus() const {

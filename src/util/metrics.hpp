@@ -39,9 +39,6 @@
 
 namespace dnsbs::util {
 
-class BinaryReader;
-class BinaryWriter;
-
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
 /// Log-scale (power-of-two) histogram layout, shared by every histogram so
@@ -220,12 +217,6 @@ struct MetricsSnapshot {
   /// Prometheus text exposition format; '.'/'/' in names map to '_',
   /// histograms emit cumulative le-labelled buckets plus _sum/_count.
   std::string to_prometheus() const;
-
-  /// Binary round-trip for checkpoint files.  Counters and gauges only:
-  /// histograms record wall-clock durations, which are outside the
-  /// determinism contract and meaningless to resurrect in a new process.
-  void save(BinaryWriter& out) const;
-  bool load(BinaryReader& in);
 };
 
 /// Snapshot of every registered metric.
@@ -234,14 +225,6 @@ MetricsSnapshot metrics_snapshot();
 /// Zeroes every registered metric in place (handles stay valid).  Test and
 /// bench isolation; never called on the hot path.
 void metrics_reset();
-
-/// Resets the registry, then re-applies every counter and gauge from
-/// `snap` (registering series the process hasn't touched yet, preserving
-/// their sched flags).  Checkpoint restore: a restarted daemon loads the
-/// snapshot taken at checkpoint time so subsequent window deltas match the
-/// uninterrupted run.  Histogram series in `snap` are skipped.  No-op when
-/// compiled with -DDNSBS_METRICS=OFF.
-void metrics_restore(const MetricsSnapshot& snap);
 
 /// RAII span: measures wall time from construction to destruction and
 /// records it (in nanoseconds) into the histogram

@@ -297,6 +297,9 @@ TEST(ParallelDeterminism, WindowedPipelineOverlapMatchesSequential) {
   for (std::size_t w = 0; w < sequential.size(); ++w) {
     EXPECT_EQ(sequential[w].classes, overlapped[w].classes) << "window " << w;
     EXPECT_EQ(sequential[w].footprints, overlapped[w].footprints) << "window " << w;
+    // Each window's stats come from its own sensor, so overlapping the next
+    // window's sensor pass with this window's train task cannot move them.
+    EXPECT_EQ(sequential[w].stats, overlapped[w].stats) << "window " << w;
   }
 }
 

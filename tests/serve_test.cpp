@@ -303,8 +303,8 @@ void append_block(std::vector<QueryRecord>& out, std::int64_t start) {
 }
 
 /// Renders one window the way the daemon's --windows-out summaries do
-/// (hexfloat rows, address-sorted classes, deterministic metric view), so
-/// equality of the rendered strings is the byte-identity claim.
+/// (hexfloat rows, address-sorted classes, window stats), so equality of
+/// the rendered strings is the byte-identity claim.
 std::string render_window(const analysis::WindowResult& r,
                           const labeling::WindowObservation& obs, bool with_metrics) {
   std::ostringstream out;
@@ -335,12 +335,8 @@ std::string render_window(const analysis::WindowResult& r,
         << " footprint=" << (fp != r.footprints.end() ? fp->second : 0) << "\n";
   }
   if (with_metrics) {
-    const util::MetricsSnapshot det = r.metrics_delta.deterministic_view();
-    for (const util::MetricValue& v : det.values) {
-      out << "metric " << v.name << '='
-          << (v.kind == util::MetricKind::kGauge ? v.gauge
-                                                 : static_cast<double>(v.count))
-          << "\n";
+    for (const auto& [name, value] : r.stats.series()) {
+      out << "metric " << name << '=' << value << "\n";
     }
   }
   return out.str();
@@ -394,10 +390,10 @@ TEST(StreamingDriver, TumblingWindowsMatchBatchPipeline) {
   EXPECT_EQ(driver.open_windows(), 0u);
   EXPECT_EQ(driver.late_records(), 0u);
 
-  // Metric deltas legitimately differ (record-at-a-time vs bulk ingest
-  // counters), so the oracle compares windows without them.
-  const auto expect = render_all(batch, /*with_metrics=*/false);
-  const auto got = render_all(streamed, /*with_metrics=*/false);
+  // Window stats come from each window's own sensor, so record-at-a-time
+  // and bulk ingest agree on them too.
+  const auto expect = render_all(batch, /*with_metrics=*/true);
+  const auto got = render_all(streamed, /*with_metrics=*/true);
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(got[i], expect[i]) << "window " << i;
@@ -435,8 +431,8 @@ TEST(StreamingDriver, HoppingWindowsMatchBatchPipeline) {
   driver.flush();
 
   EXPECT_EQ(driver.windows_closed(), 7u);
-  const auto expect = render_all(batch, /*with_metrics=*/false);
-  const auto got = render_all(streamed, /*with_metrics=*/false);
+  const auto expect = render_all(batch, /*with_metrics=*/true);
+  const auto got = render_all(streamed, /*with_metrics=*/true);
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(got[i], expect[i]) << "window " << i;
@@ -465,8 +461,6 @@ TEST(StreamingDriver, RecordOlderThanEveryOpenWindowIsLate) {
 TEST(StreamingDriver, CheckpointRestoreIsByteIdentical) {
   Dbs dbs;
   const CategoryResolver resolver;
-  analysis::StreamingConfig sc;
-  sc.window = SimTime::seconds(600);
 
   // Four contiguous windows of traffic; the checkpoint lands mid-window 2
   // so the saved state carries a partially-filled sensor and live dedup
@@ -478,53 +472,90 @@ TEST(StreamingDriver, CheckpointRestoreIsByteIdentical) {
   ASSERT_GT(split, 0u);
   ASSERT_LT(split, records.size());
 
-  // Run A: uninterrupted.
-  std::vector<std::string> expect;
-  {
-    analysis::WindowedPipeline pipeline(pipeline_config(), dbs.as_db, dbs.geo_db,
-                                        resolver);
-    pipeline.set_labels(make_labels());
-    analysis::StreamingWindowDriver driver(sc, pipeline, dbs.as_db, dbs.geo_db, resolver);
-    for (const QueryRecord& r : records) driver.offer(r);
-    driver.flush();
-    expect = render_all(pipeline, /*with_metrics=*/true);
-  }
-  ASSERT_EQ(expect.size(), 4u);
+  // Tumbling windows, and 600 s windows on a 200 s hop: there the cut
+  // leaves three overlapping windows open, each with records on both
+  // sides of it.
+  struct Grid {
+    std::int64_t hop;
+    std::size_t windows, closed_at_cut, open_at_cut;
+  };
+  for (const Grid g : {Grid{0, 4, 2, 1}, Grid{200, 10, 4, 3}}) {
+    SCOPED_TRACE("hop=" + std::to_string(g.hop));
+    analysis::StreamingConfig sc;
+    sc.window = SimTime::seconds(600);
+    sc.hop = SimTime::seconds(g.hop);
 
-  // Run B: same stream, killed mid-window-2 and restored into a fresh
-  // pipeline + driver pair.
-  std::stringstream checkpoint;
-  std::vector<std::string> got;
-  {
-    analysis::WindowedPipeline pipeline(pipeline_config(), dbs.as_db, dbs.geo_db,
-                                        resolver);
-    pipeline.set_labels(make_labels());
-    analysis::StreamingWindowDriver driver(sc, pipeline, dbs.as_db, dbs.geo_db, resolver);
-    for (std::size_t i = 0; i < split; ++i) driver.offer(records[i]);
-    EXPECT_EQ(driver.open_windows(), 1u) << "checkpoint should land mid-window";
-    ASSERT_TRUE(driver.save(checkpoint));
-    got = render_all(pipeline, /*with_metrics=*/true);  // windows closed pre-kill
-  }
-  {
-    analysis::WindowedPipeline pipeline(pipeline_config(), dbs.as_db, dbs.geo_db,
-                                        resolver);
-    pipeline.set_labels(make_labels());
-    analysis::StreamingWindowDriver driver(sc, pipeline, dbs.as_db, dbs.geo_db, resolver);
-    ASSERT_TRUE(driver.restore(checkpoint));
-    EXPECT_EQ(driver.windows_closed(), 2u);
-    EXPECT_EQ(driver.open_windows(), 1u);
-    for (std::size_t i = split; i < records.size(); ++i) driver.offer(records[i]);
-    driver.flush();
-    EXPECT_EQ(driver.windows_closed(), 4u);
-    for (std::string& s : render_all(pipeline, /*with_metrics=*/true)) {
-      got.push_back(std::move(s));
+    // Run A: uninterrupted.
+    std::vector<std::string> expect;
+    {
+      analysis::WindowedPipeline pipeline(pipeline_config(), dbs.as_db, dbs.geo_db,
+                                          resolver);
+      pipeline.set_labels(make_labels());
+      analysis::StreamingWindowDriver driver(sc, pipeline, dbs.as_db, dbs.geo_db,
+                                             resolver);
+      for (const QueryRecord& r : records) driver.offer(r);
+      driver.flush();
+      expect = render_all(pipeline, /*with_metrics=*/true);
     }
-  }
+    ASSERT_EQ(expect.size(), g.windows);
 
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_EQ(got[i], expect[i]) << "window " << i
-                                 << " diverged across the checkpoint restart";
+    // Run B: same stream, killed mid-window-2 and restored into a fresh
+    // pipeline + driver pair.
+    std::stringstream checkpoint;
+    std::vector<std::string> got;
+    {
+      analysis::WindowedPipeline pipeline(pipeline_config(), dbs.as_db, dbs.geo_db,
+                                          resolver);
+      pipeline.set_labels(make_labels());
+      analysis::StreamingWindowDriver driver(sc, pipeline, dbs.as_db, dbs.geo_db,
+                                             resolver);
+      for (std::size_t i = 0; i < split; ++i) driver.offer(records[i]);
+      EXPECT_EQ(driver.open_windows(), g.open_at_cut) << "checkpoint should land mid-window";
+      ASSERT_TRUE(driver.save(checkpoint));
+      got = render_all(pipeline, /*with_metrics=*/true);  // windows closed pre-kill
+    }
+    {
+      analysis::WindowedPipeline pipeline(pipeline_config(), dbs.as_db, dbs.geo_db,
+                                          resolver);
+      pipeline.set_labels(make_labels());
+      analysis::StreamingWindowDriver driver(sc, pipeline, dbs.as_db, dbs.geo_db,
+                                             resolver);
+      ASSERT_TRUE(driver.restore(checkpoint));
+      EXPECT_EQ(driver.windows_closed(), g.closed_at_cut);
+      EXPECT_EQ(driver.open_windows(), g.open_at_cut);
+      for (std::size_t i = split; i < records.size(); ++i) driver.offer(records[i]);
+      driver.flush();
+      EXPECT_EQ(driver.windows_closed(), g.windows);
+      for (std::string& s : render_all(pipeline, /*with_metrics=*/true)) {
+        got.push_back(std::move(s));
+      }
+    }
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(got[i], expect[i]) << "window " << i
+                                   << " diverged across the checkpoint restart";
+    }
+
+    // Run C: uninterrupted, but with a /metrics-style publish of the open
+    // windows' pending tallies at the cut.  A window's stats are its own:
+    // the publish must not move counts between overlapping windows.
+    {
+      analysis::WindowedPipeline pipeline(pipeline_config(), dbs.as_db, dbs.geo_db,
+                                          resolver);
+      pipeline.set_labels(make_labels());
+      analysis::StreamingWindowDriver driver(sc, pipeline, dbs.as_db, dbs.geo_db,
+                                             resolver);
+      for (std::size_t i = 0; i < split; ++i) driver.offer(records[i]);
+      driver.publish_pending_metrics();
+      for (std::size_t i = split; i < records.size(); ++i) driver.offer(records[i]);
+      driver.flush();
+      const std::vector<std::string> published = render_all(pipeline, /*with_metrics=*/true);
+      ASSERT_EQ(published.size(), expect.size());
+      for (std::size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(published[i], expect[i]) << "window " << i
+                                           << " changed by a mid-stream publish";
+      }
+    }
   }
 }
 
@@ -633,6 +664,19 @@ TEST(StreamingDriver, RestoreRejectsMismatchedConfig) {
     std::stringstream garbage("not a checkpoint at all");
     EXPECT_FALSE(driver.restore(garbage));
   }
+  {
+    // An image from an older format (version 3 carried registry
+    // snapshots) is refused, not misread.
+    std::string image = checkpoint.str();
+    ASSERT_GT(image.size(), 12u);
+    image[8] = 3;  // u32 LE version right after the 8-byte magic
+    image[9] = image[10] = image[11] = 0;
+    analysis::WindowedPipeline pipeline(pipeline_config(), dbs.as_db, dbs.geo_db,
+                                        resolver);
+    analysis::StreamingWindowDriver driver(sc, pipeline, dbs.as_db, dbs.geo_db, resolver);
+    std::istringstream old_version(image);
+    EXPECT_FALSE(driver.restore(old_version));
+  }
 }
 
 // ---- per-window telemetry history --------------------------------------
@@ -641,10 +685,10 @@ TEST(TelemetryHistory, DerivesGaugesAndTrimsToCapacity) {
   analysis::TelemetryHistory h(2);
   analysis::WindowTelemetry e;
   e.index = 0;
-  e.dedup_admitted = 3;
-  e.dedup_suppressed = 1;
-  e.records = 9;
-  e.late_records = 1;
+  e.stats.dedup_admitted = 3;
+  e.stats.dedup_suppressed = 1;
+  e.stats.records = 9;
+  e.stats.late_records = 1;
   const auto& stored = h.record(e);
   EXPECT_DOUBLE_EQ(stored.dedup_ratio, 0.25);
   EXPECT_DOUBLE_EQ(stored.late_rate, 0.1);
@@ -659,7 +703,7 @@ TEST(TelemetryHistory, DerivesGaugesAndTrimsToCapacity) {
 TEST(TelemetryHistory, DriftWarnsOnceBaselineIsPopulated) {
   analysis::TelemetryHistory h(16, /*drift_warn_threshold=*/0.5);
   analysis::WindowTelemetry e;
-  e.classified = 10;
+  e.stats.classified = 10;
   e.class_counts[0] = 10;  // all predictions in class 0
   for (std::uint64_t i = 0; i < 3; ++i) {
     e.index = i;
@@ -667,7 +711,7 @@ TEST(TelemetryHistory, DriftWarnsOnceBaselineIsPopulated) {
   }
   analysis::WindowTelemetry shifted;
   shifted.index = 3;
-  shifted.classified = 10;
+  shifted.stats.classified = 10;
   shifted.class_counts[1] = 10;  // disjoint mix: total variation = 1
   const auto& warned = h.record(shifted);
   EXPECT_DOUBLE_EQ(warned.drift, 1.0);
@@ -684,10 +728,10 @@ TEST(TelemetryHistory, JsonCarriesGoldenKeysOnOneLine) {
   e.index = 7;
   e.start_secs = 600;
   e.end_secs = 1200;
-  e.records = 5;
-  e.classified = 2;
+  e.stats.records = 5;
+  e.stats.classified = 2;
   e.class_counts[0] = 2;
-  e.retrained = true;
+  e.stats.retrained = true;
   e.confidence_hist[9] = 2;
   e.queue_depth_peak = 42;
   h.record(e);
@@ -712,10 +756,10 @@ TEST(TelemetryHistory, JsonCarriesGoldenKeysOnOneLine) {
 TEST(TelemetryHistory, BinaryRoundTripIsExact) {
   analysis::TelemetryHistory a(8);
   analysis::WindowTelemetry e;
-  e.classified = 4;
+  e.stats.classified = 4;
   e.class_counts[2] = 4;
-  e.dedup_admitted = 10;
-  e.dedup_suppressed = 30;
+  e.stats.dedup_admitted = 10;
+  e.stats.dedup_suppressed = 30;
   e.queue_depth_peak = 17;
   for (std::uint64_t i = 0; i < 5; ++i) {
     e.index = i;
@@ -797,7 +841,7 @@ TEST(StreamingDriver, HistorySurvivesCheckpointByteIdentically) {
 
 TEST(StreamingDriver, HistoryAndWindowsIdenticalAcrossThreadCounts) {
   // The full observability plane active (trace capture + telemetry ring)
-  // must not perturb the determinism contract: windows, metric deltas and
+  // must not perturb the determinism contract: windows, window stats and
   // the rendered history are byte-identical for 1/2/4 worker threads.
   struct ThreadCountGuard {
     ~ThreadCountGuard() { util::set_thread_count(0); }
@@ -866,7 +910,7 @@ TEST(WindowSummarySequencer, ReleasesContiguousRunsInOrder) {
 }
 
 struct StreamRun {
-  std::vector<std::string> windows;  ///< rendered with metric deltas
+  std::vector<std::string> windows;  ///< rendered with window stats
   std::string history;
 };
 
@@ -894,7 +938,7 @@ StreamRun run_stream(const std::vector<QueryRecord>& records,
 
 TEST(AsyncWindows, TumblingMatchesSyncByteIdentically) {
   // The byte-identity contract of --async-windows: rendered windows
-  // (features, classes, deterministic metric deltas) and the HISTORY ring
+  // (features, classes, window stats) and the HISTORY ring
   // must equal the sync run's bytes for every worker count.
   std::vector<QueryRecord> records;
   for (const std::int64_t w : {0, 1, 3}) append_block(records, w * 600);
@@ -1115,9 +1159,7 @@ TEST(AsyncWindows, ResolveAheadMovesLookupsOffTheCloseWithoutRepeats) {
       return pipeline;
     };
 
-    // Uninterrupted run, with a checkpoint taken at the cut.  The reference
-    // saves too: save() publishes every open window's pending tallies, which
-    // moves them between hopping windows' metric blocks.
+    // Uninterrupted run, with a checkpoint taken at the cut.
     const CountingCategoryResolver resolver;
     const std::int64_t ahead0 = sched_count("dnsbs.features.queriers_resolved_ahead");
     const std::int64_t close0 = sched_count("dnsbs.features.queriers_resolved_at_close");

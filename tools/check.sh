@@ -13,7 +13,8 @@
 #                              # --async-windows off, and checkpoint+kill+
 #                              # restore mid-stream — and require
 #                              # byte-identical window summaries across all
-#                              # three
+#                              # three; then the uninterrupted and restart
+#                              # runs again on hopping windows (--hop 1200)
 #   FEDERATION=1 tools/check.sh  # federation smoke: 4 export-state shards
 #                              # folded by `merge` must match single-sensor
 #                              # `analyze` byte-for-byte (exact and sketch
@@ -118,7 +119,9 @@ if [[ "${SERVE:-0}" == "1" ]]; then
   # end through real sockets.  One generated query log is replayed into
   # dnsbs_cli serve twice — run A uninterrupted, run B checkpointed,
   # SHUTDOWN mid-stream, restarted with --restore, then fed the rest —
-  # and the per-window summary files must be byte-identical.
+  # and the per-window summary files must be byte-identical.  Runs D and
+  # E repeat that pair on hopping windows, where the cut leaves several
+  # overlapping windows open.
   BUILD="${BUILD_DIR:-$ROOT/build-serve}"
   GEN=()
   command -v ninja >/dev/null 2>&1 && GEN=(-G Ninja)
@@ -181,6 +184,25 @@ if [[ "${SERVE:-0}" == "1" ]]; then
   ctl_get history > "$WORK/history_b.json"
   ctl shutdown; wait "$DAEMON_PID"
 
+  HOP=(--hop 1200)
+  echo "serve smoke: run D (hopping windows, uninterrupted)"
+  start_daemon "$WORK/windows_d.txt" "${HOP[@]}"
+  "$CLI" sendlog --log "$WORK/query.log" --to "127.0.0.1:$TCP_PORT" --tcp
+  ctl flush
+  ctl_get history > "$WORK/history_d.json"
+  ctl shutdown; wait "$DAEMON_PID"
+
+  echo "serve smoke: run E (hopping windows, checkpoint + restart mid-stream)"
+  start_daemon "$WORK/windows_e.txt" "${HOP[@]}"
+  "$CLI" sendlog --log "$WORK/first.log" --to "127.0.0.1:$TCP_PORT" --tcp
+  ctl checkpoint
+  ctl shutdown; wait "$DAEMON_PID"
+  start_daemon "$WORK/windows_e.txt" "${HOP[@]}" --restore
+  "$CLI" sendlog --log "$WORK/second.log" --to "127.0.0.1:$TCP_PORT" --tcp
+  ctl flush
+  ctl_get history > "$WORK/history_e.json"
+  ctl shutdown; wait "$DAEMON_PID"
+
   diff "$WORK/windows_a.txt" "$WORK/windows_b.txt" || {
     echo "serve smoke FAILED: restarted run diverged from uninterrupted run"
     exit 1
@@ -211,7 +233,19 @@ if [[ "${SERVE:-0}" == "1" ]]; then
     echo "serve smoke FAILED: restarted HISTORY diverged from uninterrupted run"
     exit 1
   }
-  echo "serve smoke passed: $(grep -c '^window ' "$WORK/windows_a.txt") windows + HISTORY byte-identical across restart"
+  # Hopping windows: each window's stats are its own, so a checkpoint
+  # that lands while several overlapping windows are open changes none of
+  # them.
+  diff "$WORK/windows_d.txt" "$WORK/windows_e.txt" || {
+    echo "serve smoke FAILED: restarted hopping run diverged from uninterrupted run"
+    exit 1
+  }
+  diff <(strip_sched < "$WORK/history_d.json") \
+       <(strip_sched < "$WORK/history_e.json") || {
+    echo "serve smoke FAILED: restarted hopping HISTORY diverged from uninterrupted run"
+    exit 1
+  }
+  echo "serve smoke passed: $(grep -c '^window ' "$WORK/windows_a.txt") tumbling + $(grep -c '^window ' "$WORK/windows_d.txt") hopping windows + HISTORY byte-identical across restart"
   exit 0
 fi
 

@@ -221,33 +221,27 @@ int run_parallel_baseline(std::uint64_t seed, double scale, const std::string& j
   }
   std::printf("window labels: %zu\n", window_labels.size());
 
-  const auto run_windows = [&](bool overlapped) {
+  const auto run_windows = [&] {
     analysis::WindowedPipeline pipeline(pc, scenario.plan().as_db(),
                                         scenario.plan().geo_db(), scenario.naming());
     pipeline.set_labels(window_labels);
     for (std::size_t w = 0; w < weeks; ++w) {
-      const auto t0 = util::SimTime::weeks(static_cast<std::int64_t>(w));
-      const auto t1 = util::SimTime::weeks(static_cast<std::int64_t>(w + 1));
-      if (overlapped) {
-        pipeline.enqueue_window(window_records[w], t0, t1);
-      } else {
-        pipeline.process_window(window_records[w], t0, t1);
-      }
+      pipeline.process_window(window_records[w],
+                              util::SimTime::weeks(static_cast<std::int64_t>(w)),
+                              util::SimTime::weeks(static_cast<std::int64_t>(w + 1)));
     }
-    pipeline.finish();
     return pipeline.results();
   };
 
   util::set_thread_count(1);
-  const auto reference_results = run_windows(false);
+  const auto reference_results = run_windows();
 
   std::vector<SweepPoint> win_points;
   bool win_identical = true;
   for (const std::size_t t : thread_counts) {
     util::set_thread_count(t);
-    const bool overlapped = t > 1;
-    const double secs = time_best_of(2, [&] { run_windows(overlapped); });
-    const auto check = run_windows(overlapped);
+    const double secs = time_best_of(2, [&] { run_windows(); });
+    const auto check = run_windows();
     bool same = check.size() == reference_results.size();
     for (std::size_t w = 0; same && w < check.size(); ++w) {
       same = check[w].classes == reference_results[w].classes &&

@@ -10,8 +10,8 @@
 namespace dnsbs::analysis {
 
 namespace {
-// Window/retrain/classified totals are deterministic: the train chain runs
-// strictly in window order whatever the thread count.
+// Window/retrain/classified totals are deterministic: windows close
+// strictly in order whatever the thread count.
 util::MetricCounter& g_windows = util::metrics_counter("dnsbs.pipeline.windows");
 util::MetricCounter& g_retrains = util::metrics_counter("dnsbs.pipeline.retrains");
 util::MetricCounter& g_classified = util::metrics_counter("dnsbs.pipeline.classified");
@@ -20,46 +20,19 @@ util::MetricCounter& g_classified = util::metrics_counter("dnsbs.pipeline.classi
 WindowedPipeline::WindowedPipeline(WindowedPipelineConfig config,
                                    const netdb::AsDb& as_db, const netdb::GeoDb& geo_db,
                                    const core::QuerierResolver& resolver)
-    : config_(config),
-      as_db_(as_db),
-      geo_db_(geo_db),
-      resolver_(resolver),
-      jobs_(config.jobs) {
+    : config_(std::move(config)), as_db_(as_db), geo_db_(geo_db), resolver_(resolver) {
   if (config_.carry_forward) {
     feature_cache_ = std::make_shared<core::FeatureExtractionCache>();
   }
-  if (!jobs_) {
-    jobs_ = std::make_shared<util::JobSystem>(
-        util::JobSystemConfig{.threads = 1, .metric_prefix = "dnsbs.pipeline.jobs"});
-  }
-  train_queue_ = jobs_->queue("train");
 }
 
-WindowedPipeline::~WindowedPipeline() {
-  // Swallow a pending exception: it already surfaced (or will) via the
-  // finish() the caller owed us; destruction must not throw.
-  try {
-    jobs_->drain(train_queue_);
-  } catch (...) {
-  }
-}
-
-void WindowedPipeline::finish() { jobs_->drain(train_queue_); }
-
-void WindowedPipeline::enqueue_window(std::span<const dns::QueryRecord> records,
-                                      util::SimTime start, util::SimTime end) {
-  // Sensor pass over this window only (fresh caches/aggregates: the
-  // paper's per-interval feature vectors).  Runs in the calling thread,
-  // overlapping the previous window's train+classify task.
+const WindowResult& WindowedPipeline::process_window(
+    std::span<const dns::QueryRecord> records, util::SimTime start, util::SimTime end) {
+  // A fresh sensor per window: the paper's per-interval feature vectors.
   core::Sensor sensor(config_.sensor, as_db_, geo_db_, resolver_);
   if (feature_cache_) sensor.set_feature_cache(feature_cache_);
   sensor.ingest_all(records);
-  const std::size_t position = stage_window(sensor, start, end);
-  // Retrain + classify on the serial train queue; the caller is free to
-  // ingest the next window meanwhile.  The job only touches
-  // observations_[position], results_[position], labels_ (read) and
-  // model_ — none of which the next stage_window reads or moves.
-  jobs_->submit(train_queue_, [this, position] { train_and_classify(position); });
+  return close_window(sensor, start, end, 0);
 }
 
 const WindowResult& WindowedPipeline::close_window(core::Sensor& sensor, util::SimTime start,
@@ -96,11 +69,6 @@ std::size_t WindowedPipeline::stage_window(core::Sensor& sensor, util::SimTime s
   stats.sketch_promotions = sensor.aggregator().promoted_count();
   stats.interesting = observation.features.size();
 
-  // 2. Join the previous window before touching shared state: train and
-  //    classify steps must run strictly in window order (the model carries
-  //    over when a window is too thin to retrain).
-  finish();
-
   // Bound memory for long-running (streaming) callers: drop the oldest
   // retained windows; absolute indices keep counting via base_index_.
   if (config_.history_limit != 0 && results_.size() >= config_.history_limit) {
@@ -119,9 +87,8 @@ std::size_t WindowedPipeline::stage_window(core::Sensor& sensor, util::SimTime s
 }
 
 void WindowedPipeline::set_next_window_index(std::size_t index) {
-  finish();
   if (!results_.empty()) {
-    throw std::logic_error("set_next_window_index: windows already enqueued");
+    throw std::logic_error("set_next_window_index: windows already closed");
   }
   base_index_ = index;
 }
@@ -176,13 +143,6 @@ void WindowedPipeline::train_and_classify(std::size_t position) {
                    static_cast<unsigned long long>(stats.interesting),
                    static_cast<unsigned long long>(stats.classified),
                    retrained ? "yes" : "no"));
-}
-
-const WindowResult& WindowedPipeline::process_window(
-    std::span<const dns::QueryRecord> records, util::SimTime start, util::SimTime end) {
-  enqueue_window(records, start, end);
-  finish();
-  return results_.back();
 }
 
 }  // namespace dnsbs::analysis

@@ -6,7 +6,8 @@
 // ("adapting the classification boundary using fresh feature vector
 // observations and re-training daily"), and every detected originator is
 // classified.  WindowedPipeline packages that loop behind one call per
-// window so operators and the longitudinal benches share one code path.
+// window, close_window(); process_window() is a thin batch helper over it,
+// so the streaming daemon and the longitudinal benches share one path.
 #pragma once
 
 #include <memory>
@@ -42,10 +43,10 @@ struct WindowedPipelineConfig {
   /// (0 = unlimited).  Long-running daemons set this: WindowResult.index
   /// stays absolute across trims, only the retained prefix is dropped.
   std::size_t history_limit = 0;
-  /// Job system enqueue_window()'s train+classify chain runs on (queue
-  /// "train").  Null means the pipeline owns a single-worker system of its
-  /// own; the streaming daemon shares one system with its async close
-  /// queue and export queue so a bounded worker pool serves them all.
+  /// The pool an async StreamingWindowDriver runs its close queue on;
+  /// the daemon shares it with its export queue so one bounded worker
+  /// pool serves both.  Null means the driver builds a single-worker pool
+  /// of its own.  The pipeline itself runs no jobs.
   std::shared_ptr<util::JobSystem> jobs;
 };
 
@@ -53,53 +54,29 @@ class WindowedPipeline {
  public:
   WindowedPipeline(WindowedPipelineConfig config, const netdb::AsDb& as_db,
                    const netdb::GeoDb& geo_db, const core::QuerierResolver& resolver);
-  ~WindowedPipeline();
 
   /// Installs (or replaces) the curated labeled set; typically called
   /// once after the first curation and again at re-curation dates.
-  /// Joins any in-flight window first.
-  void set_labels(labeling::GroundTruth labels) {
-    finish();
-    labels_ = std::move(labels);
-  }
+  void set_labels(labeling::GroundTruth labels) { labels_ = std::move(labels); }
   const labeling::GroundTruth& labels() const noexcept { return labels_; }
 
-  /// Processes one window's query records: sensor pass, optional retrain
-  /// on re-appearing labeled examples, classification of every detected
-  /// originator.  Returns the window's result (also retained internally).
-  /// Equivalent to enqueue_window() + finish().
+  /// Batch helper: runs one window's query records through a fresh Sensor
+  /// (sharing feature_cache()) and closes it with close_window().
+  /// Returns the window's result (also retained internally).
   const WindowResult& process_window(std::span<const dns::QueryRecord> records,
                                      util::SimTime start, util::SimTime end);
 
-  /// Pipelined variant: runs this window's sensor pass in the calling
-  /// thread while the *previous* window's retrain + classification still
-  /// runs on a background task, then hands this window to the background
-  /// task chain.  Train/classify steps execute strictly in window order,
-  /// so results are byte-identical to repeated process_window() calls.
-  /// Call finish() (or any accessor that implies it) before reading
-  /// results of the last enqueued window.
-  void enqueue_window(std::span<const dns::QueryRecord> records, util::SimTime start,
-                      util::SimTime end);
-
-  /// Streaming variant: the caller owns a Sensor it has been feeding
-  /// record-by-record (the dnsbs_serve intake path) and hands it over at
-  /// the window boundary.  Extracts features, retrains and classifies in
-  /// the calling thread — the streaming driver runs this on its serial
-  /// close queue — and returns the window's result.  `late_records` is
-  /// the caller's late-drop count for the window's stats.  The sensor
-  /// should share feature_cache() if carry-forward matters; it may be
-  /// destroyed as soon as this returns.
+  /// Closes one window: the caller owns a Sensor it has fed (record by
+  /// record on the dnsbs_serve intake path, in one batch in
+  /// process_window) and hands it over at the window boundary.  Extracts
+  /// features, retrains on re-appearing labeled examples when there are
+  /// enough, classifies every detected originator in the calling thread,
+  /// and returns the window's result.  `late_records` is the caller's
+  /// late-drop count for the window's stats.  The sensor should share
+  /// feature_cache() if carry-forward matters; it may be destroyed as
+  /// soon as this returns.
   const WindowResult& close_window(core::Sensor& sensor, util::SimTime start,
                                    util::SimTime end, std::uint64_t late_records);
-
-  /// Joins the in-flight window, if any; rethrows its exception.
-  void finish();
-
-  /// The job system the train chain runs on (the config's, or the
-  /// pipeline-owned default).  The async streaming driver and the daemon
-  /// register their close/export queues on it so one worker pool serves
-  /// the whole window pipeline.
-  const std::shared_ptr<util::JobSystem>& jobs() const noexcept { return jobs_; }
 
   /// The carry-forward extraction cache (null when carry_forward is off).
   /// Streaming callers attach it to their sensors before ingesting.
@@ -109,48 +86,36 @@ class WindowedPipeline {
 
   const WindowedPipelineConfig& config() const noexcept { return config_; }
 
-  /// Absolute index the next enqueued window will get.  Joins in-flight
-  /// work (the counter is shared with the train chain's bookkeeping).
-  std::size_t next_window_index() {
-    finish();
-    return base_index_ + results_.size();
-  }
+  /// Absolute index the next closed window will get.
+  std::size_t next_window_index() const noexcept { return base_index_ + results_.size(); }
 
   /// Re-bases window numbering after a checkpoint restore so retrain seeds
   /// and result indices continue the uninterrupted sequence.  Only valid
-  /// before the first window is enqueued (or after results were trimmed to
+  /// before the first window closes (or after results were trimmed to
   /// empty); asserts via std::logic_error otherwise.
   void set_next_window_index(std::size_t index);
 
-  /// All windows processed so far, in order.  Joins in-flight work.
-  const std::vector<WindowResult>& results() {
-    finish();
-    return results_;
-  }
+  /// All windows closed so far (the retained suffix), in order.
+  const std::vector<WindowResult>& results() const noexcept { return results_; }
 
   /// The per-window sensor observations (feature vectors), kept for
-  /// strategy evaluation and re-curation.  Joins in-flight work.
-  const std::vector<labeling::WindowObservation>& observations() {
-    finish();
+  /// strategy evaluation and re-curation.
+  const std::vector<labeling::WindowObservation>& observations() const noexcept {
     return observations_;
   }
 
   /// True if a usable model exists (training has succeeded at least once).
-  /// Joins in-flight work (the model is trained on the background task).
-  bool has_model() {
-    finish();
-    return model_ != nullptr;
-  }
+  bool has_model() const noexcept { return model_ != nullptr; }
 
  private:
   /// Extracts the sensor's features, fills the window's sensor-side stats
   /// and appends its (not yet classified) result + observation; returns
-  /// the vector position.  Joins the in-flight window first.
+  /// the vector position.
   std::size_t stage_window(core::Sensor& sensor, util::SimTime start, util::SimTime end);
 
   /// Retrain-if-possible + classify for the window at vector `position`
-  /// (absolute index = base_index_ + position); runs strictly in window
-  /// order, on the train queue (enqueue_window) or inline (close_window).
+  /// (absolute index = base_index_ + position).  Windows close strictly in
+  /// order, so the model carried into a thin window is its predecessor's.
   void train_and_classify(std::size_t position);
 
   WindowedPipelineConfig config_;
@@ -158,8 +123,8 @@ class WindowedPipeline {
   const netdb::GeoDb& geo_db_;
   const core::QuerierResolver& resolver_;
   /// Carry-forward extraction cache shared by every window's sensor (null
-  /// when config_.carry_forward is off).  Sensor passes run one at a time
-  /// on the calling thread, so the cache is never touched concurrently.
+  /// when config_.carry_forward is off).  Closes run one at a time, so
+  /// the cache is never extracted from concurrently.
   std::shared_ptr<core::FeatureExtractionCache> feature_cache_;
   labeling::GroundTruth labels_;
   std::unique_ptr<ml::RandomForest> model_;
@@ -168,11 +133,6 @@ class WindowedPipeline {
   /// Absolute index of results_[0]; advanced by history trims and by
   /// set_next_window_index() after a restore.
   std::size_t base_index_ = 0;
-  /// Job system + serial queue the train+classify chain runs on.  The
-  /// queue's FIFO order is the determinism argument: train steps execute
-  /// strictly in window order whatever the worker count.
-  std::shared_ptr<util::JobSystem> jobs_;
-  util::JobSystem::QueueId train_queue_ = 0;
 };
 
 }  // namespace dnsbs::analysis

@@ -46,14 +46,20 @@ StreamingWindowDriver::StreamingWindowDriver(StreamingConfig config,
       as_db_(as_db),
       geo_db_(geo_db),
       resolver_(resolver),
-      jobs_(config.async_windows ? pipeline.jobs()
-                                 : std::make_shared<util::JobSystem>(util::JobSystemConfig{
-                                       .threads = 0, .metric_prefix = {}})),
+      jobs_(config.async_windows ? pipeline.config().jobs : nullptr),
       telemetry_(config.telemetry_capacity, config.drift_warn_threshold) {
   // 0 or out-of-range hop means tumbling windows; a hop wider than the
   // window would leave uncovered gaps in the stream.
   if (config_.hop.secs() <= 0 || config_.hop > config_.window) {
     config_.hop = config_.window;
+  }
+  // Sync mode runs the close queue on a private pool with no workers;
+  // async mode falls back to a single worker when the pipeline names no
+  // shared pool.
+  if (!jobs_) {
+    jobs_ = std::make_shared<util::JobSystem>(util::JobSystemConfig{
+        .threads = config_.async_windows ? std::size_t{1} : std::size_t{0},
+        .metric_prefix = {}});
   }
   close_queue_ = jobs_->queue("close");
 }

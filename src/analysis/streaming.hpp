@@ -14,9 +14,10 @@
 // classification, telemetry and the close callback run in order.  The
 // two execution modes differ only in where that queue lives:
 //
-//   * asynchronous (async_windows = true): on the pipeline's shared job
-//     system; offer() returns at once and the caller keeps ingesting
-//     while the close runs on a worker.
+//   * asynchronous (async_windows = true): on the job system the
+//     pipeline's config names (WindowedPipelineConfig::jobs), or on a
+//     single-worker one of the driver's own; offer() returns at once and
+//     the caller keeps ingesting while the close runs on a worker.
 //   * synchronous (async_windows = false): on a private job system with
 //     no workers, drained right after each submit, so the close runs
 //     inline in offer() — the caller stalls for the duration.
@@ -61,8 +62,8 @@ struct StreamingConfig {
   /// smaller values give overlapping (sliding) windows.  Must not exceed
   /// the window width (gaps would silently drop records).
   util::SimTime hop{};
-  /// Run window closes on the pipeline's job system instead of inline in
-  /// offer().  Output stays byte-identical (see the header comment);
+  /// Run window closes on a job-system worker (the pool
+  /// WindowedPipelineConfig::jobs names) instead of inline in offer().  Output stays byte-identical (see the header comment);
   /// offer() stops stalling across window boundaries.
   /// Errors thrown by async close work surface at the next quiesce
   /// barrier (flush/save/publish_pending_metrics) instead of in offer().
@@ -81,7 +82,7 @@ struct StreamingConfig {
 /// The pipeline must be dedicated to this driver (window numbering is
 /// shared), and should be freshly constructed when restore() is used.
 /// offer()/flush()/save()/restore() belong to one drive thread; in async
-/// mode the close work runs on the pipeline's job system and every shared
+/// mode the close work runs on a job-system worker and every shared
 /// touch point is serialized through quiesce barriers.
 class StreamingWindowDriver {
  public:
@@ -199,7 +200,8 @@ class StreamingWindowDriver {
   const netdb::AsDb& as_db_;
   const netdb::GeoDb& geo_db_;
   const core::QuerierResolver& resolver_;
-  /// Where close_queue_ lives: the pipeline's shared job system (async)
+  /// Where close_queue_ lives: the pipeline config's shared pool or a
+  /// single-worker fallback (async)
   /// or a private one with no workers (sync).
   std::shared_ptr<util::JobSystem> jobs_;
   util::JobSystem::QueueId close_queue_ = 0;

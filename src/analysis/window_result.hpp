@@ -67,9 +67,9 @@ struct WindowResult {
   /// predictions (deciles).  Deterministic: the forest's vote tally is a
   /// pure function of model + row.
   std::array<std::uint64_t, kConfidenceBuckets> confidence_hist{};
-  /// This window's counts.  Exact on every entry point: process_window,
-  /// overlapped enqueue_window and the streaming close all fill them from
-  /// the window's own sensor and results.
+  /// This window's counts, filled by close_window (which process_window
+  /// and the streaming close both go through) from the window's own
+  /// sensor and results.
   WindowStats stats;
 };
 

@@ -1,137 +1,11 @@
 #include "core/dynamic_features.hpp"
 
-#include "util/metrics.hpp"
-#include "util/stats.hpp"
-
 namespace dnsbs::core {
-
-namespace {
-// Geo memoization telemetry: entries/build are per-interval (cold);
-// fallbacks count lookup_geo() misses outside the built interval — rare by
-// construction, so the miss branch can afford a registry bump while the
-// hit path stays registry-free.
-util::MetricCounter& g_geo_builds = util::metrics_counter("dnsbs.cache.geo.builds");
-util::MetricCounter& g_geo_entries = util::metrics_counter("dnsbs.cache.geo.entries");
-util::MetricCounter& g_geo_fallbacks = util::metrics_counter("dnsbs.cache.geo.fallbacks");
-util::MetricHistogram& g_geo_build_ns = util::metrics_histogram("dnsbs.cache.geo.build_ns");
-}  // namespace
 
 std::array<std::string_view, kDynamicFeatureCount> dynamic_feature_names() noexcept {
   return {"queries_per_querier", "persistence",       "local_entropy",
           "global_entropy",      "unique_as",         "unique_cc",
           "queriers_per_cc",     "queriers_per_as"};
-}
-
-DynamicFeatureExtractor::DynamicFeatureExtractor(const netdb::AsDb& as_db,
-                                                 const netdb::GeoDb& geo_db,
-                                                 const OriginatorAggregator& interval)
-    : as_db_(as_db), geo_db_(geo_db), interval_periods_(interval.total_periods()) {
-  const std::uint64_t t0 = util::metrics_now_ns();
-  // One pass over the interval learns the AS/country normalizers and, as a
-  // side effect, memoizes every unique querier's AS and country: queriers
-  // shared by many originator footprints cost one trie lookup instead of
-  // one per membership when extract() runs.
-  util::FlatSet<netdb::Asn> ases;
-  util::FlatSet<netdb::CountryCode> countries;
-  // Reserve once from the summed footprints: queriers shared between
-  // originators make this an over-estimate, which costs idle slots but
-  // never a mid-build rehash (the old per-originator increments
-  // under-reserved and rehashed repeatedly on large intervals).
-  std::size_t total_footprint = 0;
-  for (const auto& [originator, agg] : interval.aggregates()) {
-    total_footprint += agg.querier_queries.size();
-  }
-  geo_cache_.reserve(total_footprint);
-  for (const auto& [originator, agg] : interval.aggregates()) {
-    for (const auto& [querier, count] : agg.querier_queries) {
-      const auto [slot, inserted] = geo_cache_.try_emplace(querier);
-      if (inserted) {
-        QuerierGeo& geo = slot->second;
-        if (const auto asn = as_db_.lookup(querier)) {
-          geo.asn = *asn;
-          geo.has_asn = true;
-        }
-        if (const auto cc = geo_db_.lookup(querier)) {
-          geo.cc = *cc;
-          geo.has_cc = true;
-        }
-      }
-      const QuerierGeo& geo = slot->second;
-      if (geo.has_asn) ases.insert(geo.asn);
-      if (geo.has_cc) countries.insert(geo.cc);
-    }
-  }
-  interval_as_count_ = ases.size();
-  interval_country_count_ = countries.size();
-  g_geo_builds.inc();
-  g_geo_entries.add(geo_cache_.size());
-  g_geo_build_ns.record(util::metrics_now_ns() - t0);
-}
-
-DynamicFeatureExtractor::QuerierGeo DynamicFeatureExtractor::lookup_geo(
-    net::IPv4Addr querier) const {
-  if (const auto* cached = geo_cache_.find(querier)) return cached->second;
-  // Not part of the interval the extractor was built over (callers mixing
-  // aggregators); fall back to the databases.
-  g_geo_fallbacks.inc();
-  QuerierGeo geo;
-  if (const auto asn = as_db_.lookup(querier)) {
-    geo.asn = *asn;
-    geo.has_asn = true;
-  }
-  if (const auto cc = geo_db_.lookup(querier)) {
-    geo.cc = *cc;
-    geo.has_cc = true;
-  }
-  return geo;
-}
-
-DynamicFeatures DynamicFeatureExtractor::extract(const OriginatorAggregate& agg) const {
-  DynamicFeatures f{};
-  const double queriers = static_cast<double>(agg.unique_queriers());
-  if (queriers == 0.0) return f;
-
-  f[static_cast<std::size_t>(DynamicFeature::kQueriesPerQuerier)] =
-      static_cast<double>(agg.total_queries) / queriers;
-
-  f[static_cast<std::size_t>(DynamicFeature::kPersistence)] =
-      interval_periods_ == 0
-          ? 0.0
-          : static_cast<double>(agg.periods.size()) / static_cast<double>(interval_periods_);
-
-  util::FlatMap<std::uint32_t, std::size_t> slash24s;
-  util::FlatMap<std::uint32_t, std::size_t> slash8s;
-  util::FlatSet<netdb::Asn> ases;
-  util::FlatSet<netdb::CountryCode> countries;
-  for (const auto& [querier, count] : agg.querier_queries) {
-    ++slash24s[querier.slash24()];
-    ++slash8s[querier.slash8()];
-    const QuerierGeo geo = lookup_geo(querier);
-    if (geo.has_asn) ases.insert(geo.asn);
-    if (geo.has_cc) countries.insert(geo.cc);
-  }
-  // Entropy streams straight out of the bucket maps — no intermediate
-  // count-vector copy (the iterator form is bit-identical to the span one).
-  const auto count_of = [](const auto& kv) noexcept { return kv.second; };
-  f[static_cast<std::size_t>(DynamicFeature::kLocalEntropy)] =
-      util::normalized_entropy(slash24s.begin(), slash24s.end(), count_of);
-  f[static_cast<std::size_t>(DynamicFeature::kGlobalEntropy)] =
-      util::normalized_entropy(slash8s.begin(), slash8s.end(), count_of);
-
-  f[static_cast<std::size_t>(DynamicFeature::kUniqueAs)] =
-      interval_as_count_ == 0
-          ? 0.0
-          : static_cast<double>(ases.size()) / static_cast<double>(interval_as_count_);
-  f[static_cast<std::size_t>(DynamicFeature::kUniqueCountries)] =
-      interval_country_count_ == 0 ? 0.0
-                                   : static_cast<double>(countries.size()) /
-                                         static_cast<double>(interval_country_count_);
-
-  f[static_cast<std::size_t>(DynamicFeature::kQueriersPerCountry)] =
-      static_cast<double>(countries.size()) / queriers;
-  f[static_cast<std::size_t>(DynamicFeature::kQueriersPerAs)] =
-      static_cast<double>(ases.size()) / queriers;
-  return f;
 }
 
 }  // namespace dnsbs::core

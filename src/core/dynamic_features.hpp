@@ -1,5 +1,6 @@
 // Dynamic features: spatial and temporal structure of an originator's
-// queriers (paper §III-C).
+// queriers (paper §III-C).  core::FeatureEngine computes them
+// (core/feature_engine.hpp).
 //
 //   queries per querier   (temporal)  mean queries per unique querier
 //   query persistence     (temporal)  fraction of the interval's 10-minute
@@ -19,12 +20,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <string_view>
-
-#include "core/aggregate.hpp"
-#include "netdb/as_db.hpp"
-#include "netdb/geo_db.hpp"
-#include "util/flat_hash.hpp"
 
 namespace dnsbs::core {
 
@@ -44,39 +41,5 @@ enum class DynamicFeature : std::size_t {
 using DynamicFeatures = std::array<double, kDynamicFeatureCount>;
 
 std::array<std::string_view, kDynamicFeatureCount> dynamic_feature_names() noexcept;
-
-/// Extracts dynamic features for originators of one measurement interval.
-/// Construction takes a first pass over all aggregates to learn the
-/// interval-wide AS and country populations used as normalizers; the same
-/// pass memoizes each unique querier's AS/country so extract() never
-/// repeats a prefix-trie lookup for a querier shared by many originators.
-class DynamicFeatureExtractor {
- public:
-  DynamicFeatureExtractor(const netdb::AsDb& as_db, const netdb::GeoDb& geo_db,
-                          const OriginatorAggregator& interval);
-
-  DynamicFeatures extract(const OriginatorAggregate& agg) const;
-
-  std::size_t interval_as_count() const noexcept { return interval_as_count_; }
-  std::size_t interval_country_count() const noexcept { return interval_country_count_; }
-
- private:
-  /// Memoized querier identity: AS and country, resolved once per interval.
-  struct QuerierGeo {
-    netdb::Asn asn{};
-    netdb::CountryCode cc{};
-    bool has_asn = false;
-    bool has_cc = false;
-  };
-
-  QuerierGeo lookup_geo(net::IPv4Addr querier) const;
-
-  const netdb::AsDb& as_db_;
-  const netdb::GeoDb& geo_db_;
-  util::FlatMap<net::IPv4Addr, QuerierGeo> geo_cache_;
-  std::size_t interval_as_count_;
-  std::size_t interval_country_count_;
-  std::size_t interval_periods_;
-};
 
 }  // namespace dnsbs::core

@@ -100,6 +100,21 @@ bool load_id_map(util::BinaryReader& in, util::FlatMap<K, std::uint32_t>& map,
   return true;
 }
 
+/// True if every id `map` assigns lies in [lo, end).
+template <typename K>
+bool ids_in(const util::FlatMap<K, std::uint32_t>& map, std::uint64_t lo, std::uint64_t end) {
+  for (const auto& [key, id] : map) {
+    if (id < lo || id >= end) return false;
+  }
+  return true;
+}
+
+/// True if every value of `column` lies below `end`.
+bool column_below(const std::vector<std::uint32_t>& column, std::uint64_t end) {
+  return std::all_of(column.begin(), column.end(),
+                     [end](std::uint32_t v) { return v < end; });
+}
+
 // Loaders never reserve() a count read from the image: the columns grow
 // only as bytes actually arrive, and stop at the first failed read, so a
 // corrupt length costs what the stream holds, not what it claims.
@@ -181,6 +196,15 @@ bool FeatureExtractionCache::load(util::BinaryReader& in) {
   if (!load_id_map(in, as_ids_, [&in] { return netdb::Asn{in.u32()}; })) return false;
   if (!load_id_map(in, cc_ids_, [&in] { return in.u16(); })) return false;
   if (!load_id_map(in, s24_ids_, [&in] { return in.u32(); })) return false;
+  // Every interned id must index what it names: extract() reads the
+  // columns by querier id and writes its AS/CC scratch by AS/CC id (0 is
+  // "no mapping", so those ids run 1..count).
+  if (!ids_in(qid_, 0, querier_count()) || !ids_in(as_ids_, 1, as_count() + 1) ||
+      !ids_in(cc_ids_, 1, cc_count() + 1) || !ids_in(s24_ids_, 0, s24_count()) ||
+      !column_below(as_id_, as_count() + 1) || !column_below(cc_id_, cc_count() + 1) ||
+      !column_below(s24_id_, s24_count())) {
+    return false;
+  }
   const std::uint64_t cap = in.u64();
   const std::uint64_t n = in.u64();
   if (!in.ok() || n > cap || !rows_.restore_layout(cap)) return false;
@@ -198,7 +222,10 @@ bool FeatureExtractionCache::load(util::BinaryReader& in) {
     e.norm_cc = in.u32();
     const std::uint64_t qn = in.u64();
     if (!in.ok() || qn > kMaxLoadLen) return false;
-    if (!load_u32_column(in, e.qids, qn) || !load_u32_column(in, e.counts, qn)) return false;
+    if (!load_u32_column(in, e.qids, qn) || !load_u32_column(in, e.counts, qn) ||
+        !column_below(e.qids, querier_count())) {
+      return false;
+    }
     e.row.originator = net::IPv4Addr{in.u32()};
     e.row.footprint = in.u64();
     for (double& v : e.row.statics) v = in.f64();
@@ -285,7 +312,7 @@ FeatureVector FeatureEngine::compute_row(const FeatureExtractionCache::RowEntry&
   const double queriers = static_cast<double>(k);
   // Integer tallies divided once: identical to summing 1.0 per member and
   // dividing (both are exact below 2^53), so rows match the reference
-  // tally_static_features path bit-for-bit.
+  // extractor in tests/reference_features.hpp bit-for-bit.
   for (std::size_t c = 0; c < kQuerierCategoryCount; ++c) {
     fv.statics[c] = static_cast<double>(category_counts[c]) / queriers;
   }

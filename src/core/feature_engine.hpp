@@ -59,6 +59,9 @@
 
 #include "core/aggregate.hpp"
 #include "core/feature_vector.hpp"
+#include "netdb/as_db.hpp"
+#include "netdb/geo_db.hpp"
+#include "util/flat_hash.hpp"
 
 namespace dnsbs::util {
 class BinaryReader;
@@ -158,7 +161,8 @@ class FeatureExtractionCache {
   /// reproduces every reuse/recompute decision — and every cached row —
   /// bit-for-bit.  The resolve-ahead memo is not part of the image.
   /// load() replaces the cache's entire state and returns false on a
-  /// corrupt stream (state is then unspecified; discard it).
+  /// corrupt stream, including any interned id at or beyond its
+  /// interner's size (state is then unspecified; discard it).
   void save(util::BinaryWriter& out) const;
   bool load(util::BinaryReader& in);
 

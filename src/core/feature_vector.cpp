@@ -33,37 +33,4 @@ const std::vector<std::string>& app_class_names() {
 
 ml::Dataset make_dataset() { return ml::Dataset(feature_names(), app_class_names()); }
 
-namespace {
-
-/// Shared tally: `categorize(querier)` must yield the querier's category.
-template <typename Categorize>
-StaticFeatures tally_static_features(const OriginatorAggregate& agg,
-                                     Categorize&& categorize) {
-  StaticFeatures f{};
-  if (agg.querier_queries.empty()) return f;
-  // Category tallies are small integers, so this sum is exact and the
-  // result is independent of querier iteration order.
-  for (const auto& [querier, count] : agg.querier_queries) {
-    f[static_cast<std::size_t>(categorize(querier))] += 1.0;
-  }
-  const double total = static_cast<double>(agg.unique_queriers());
-  for (double& v : f) v /= total;
-  return f;
-}
-
-}  // namespace
-
-StaticFeatures compute_static_features(const OriginatorAggregate& agg,
-                                       const QuerierResolver& resolver) {
-  return tally_static_features(agg, [&](net::IPv4Addr querier) {
-    return classify_querier(resolver.resolve(querier));
-  });
-}
-
-StaticFeatures compute_static_features(const OriginatorAggregate& agg,
-                                       const QuerierClassificationCache& cache) {
-  return tally_static_features(
-      agg, [&](net::IPv4Addr querier) { return cache.category(querier); });
-}
-
 }  // namespace dnsbs::core

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/dynamic_features.hpp"
-#include "core/querier_cache.hpp"
 #include "core/static_features.hpp"
 #include "ml/dataset.hpp"
 #include "net/ipv4.hpp"
@@ -36,15 +35,5 @@ const std::vector<std::string>& app_class_names();
 
 /// An empty dataset with the canonical schema.
 ml::Dataset make_dataset();
-
-/// Computes static features from an aggregate via a resolver.
-StaticFeatures compute_static_features(const OriginatorAggregate& agg,
-                                       const QuerierResolver& resolver);
-
-/// Computes static features via the per-interval classification cache so a
-/// querier shared by many footprints is resolved only once.  Only tests use
-/// it now, as an oracle: Sensor::extract_features runs FeatureEngine.
-StaticFeatures compute_static_features(const OriginatorAggregate& agg,
-                                       const QuerierClassificationCache& cache);
 
 }  // namespace dnsbs::core

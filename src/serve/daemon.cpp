@@ -81,9 +81,8 @@ ServeDaemon::ServeDaemon(ServeConfig config, const netdb::AsDb& as_db,
       jobs_(std::make_shared<util::JobSystem>(util::JobSystemConfig{
           .threads = config_.job_threads, .metric_prefix = "dnsbs.serve.jobs"})),
       queue_(config_.queue_capacity) {
-  // One pool, three serial queues: the pipeline registers "train" (idle
-  // here: closes train inline), the driver "close" (async mode), the
-  // daemon "export".
+  // One pool, two serial queues: the driver registers "close" (async
+  // mode), the daemon "export".
   config_.pipeline.jobs = jobs_;
   export_queue_ = jobs_->queue("export");
   pipeline_ = std::make_unique<analysis::WindowedPipeline>(config_.pipeline, as_db_,

@@ -31,9 +31,8 @@
 // Every close and every summary append goes through its queue.  With
 // --async-windows off the close queue lives on a private job system with
 // no workers, and the drive thread drains each queue right after it
-// submits to it, so the same jobs run inline.  (The pipeline's "train"
-// queue is registered on the pool too, but stays idle: the close job
-// retrains and classifies itself.)
+// submits to it, so the same jobs run inline.  The close job itself
+// retrains and classifies (WindowedPipeline::close_window).
 //
 // Determinism: everything that feeds deterministic state — packet decode,
 // dedup/aggregate ingest, window close — runs either on the single drive
@@ -207,12 +206,11 @@ class ServeDaemon {
   const netdb::GeoDb& geo_db_;
   const core::QuerierResolver& resolver_;
 
-  /// One worker pool for the whole async window pipeline; the pipeline's
-  /// (idle) "train" queue, the driver's "close" queue in async mode and
-  /// the daemon's "export" queue live here (metric prefix
-  /// dnsbs.serve.jobs).  Declared
-  /// before pipeline_/driver_ so their destructors (which drain their
-  /// queues) run first.
+  /// One worker pool for the whole async window pipeline: the driver's
+  /// "close" queue in async mode and the daemon's "export" queue live
+  /// here (metric prefix dnsbs.serve.jobs; handed to the driver through
+  /// WindowedPipelineConfig::jobs).  Declared before driver_ so the
+  /// driver's destructor (which drains its queue) runs first.
   std::shared_ptr<util::JobSystem> jobs_;
   util::JobSystem::QueueId export_queue_ = 0;
   std::unique_ptr<analysis::WindowedPipeline> pipeline_;

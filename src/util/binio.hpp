@@ -11,11 +11,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <istream>
 #include <ostream>
-#include <string>
-#include <vector>
 
 namespace dnsbs::util {
 
@@ -30,10 +27,6 @@ class BinaryWriter {
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-  void str(const std::string& s) {
-    u64(s.size());
-    out_.write(s.data(), static_cast<std::streamsize>(s.size()));
-  }
   void bytes(const void* data, std::size_t n) {
     out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
   }
@@ -67,17 +60,6 @@ class BinaryReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
 
-  std::string str() {
-    const std::uint64_t n = u64();
-    if (failed_ || n > kMaxBlob) {
-      failed_ = true;
-      return {};
-    }
-    std::string s(static_cast<std::size_t>(n), '\0');
-    in_.read(s.data(), static_cast<std::streamsize>(n));
-    if (in_.gcount() != static_cast<std::streamsize>(n)) failed_ = true;
-    return s;
-  }
   bool bytes(void* data, std::size_t n) {
     in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
     if (in_.gcount() != static_cast<std::streamsize>(n)) failed_ = true;
@@ -90,10 +72,6 @@ class BinaryReader {
   void fail() { failed_ = true; }
 
  private:
-  /// Upper bound on any single length prefix; a corrupt length must not
-  /// turn into a multi-gigabyte allocation.
-  static constexpr std::uint64_t kMaxBlob = 1ull << 32;
-
   std::uint64_t le(int width) {
     char buf[8];
     in_.read(buf, width);

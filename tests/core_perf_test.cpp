@@ -1,8 +1,7 @@
-// Performance-path invariants: the per-interval querier-classification
-// cache must resolve each unique querier exactly once per
-// extract_features() call, and the amortized (bucketed-expiry) dedup prune
-// must keep window state bounded and byte-identical to a full-walk prune
-// under long skewed streams.
+// Performance-path invariants: feature extraction must resolve each unique
+// querier exactly once per extract_features() call, and the amortized
+// (bucketed-expiry) dedup prune must keep window state bounded and
+// byte-identical to a full-walk prune under long skewed streams.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/querier_cache.hpp"
 #include "core/sensor.hpp"
 
 namespace dnsbs::core {
@@ -27,8 +25,8 @@ QueryRecord rec(std::int64_t secs, IPv4Addr querier, IPv4Addr originator) {
   return QueryRecord{SimTime::seconds(secs), querier, originator, RCode::kNoError};
 }
 
-/// Counts resolve() calls per querier; thread-safe because the cache build
-/// classifies unique queriers in parallel.
+/// Counts resolve() calls per querier; thread-safe because extraction
+/// resolves unseen queriers in parallel.
 class CountingResolver final : public QuerierResolver {
  public:
   QuerierInfo resolve(IPv4Addr querier) const override {
@@ -86,25 +84,6 @@ TEST(QuerierCache, ExtractFeaturesResolvesEachQuerierOnce) {
     for (const auto& [querier, count] : counts) {
       EXPECT_EQ(count, 1) << "querier " << querier << " threads=" << threads;
     }
-  }
-}
-
-TEST(QuerierCache, CacheHitsMatchDirectClassification) {
-  const CountingResolver resolver;
-  QuerierClassificationCache cache(resolver);
-
-  OriginatorAggregator agg;
-  for (int q = 1; q <= 10; ++q) {
-    agg.add(rec(q, *IPv4Addr::parse("10.0.0." + std::to_string(q)),
-                *IPv4Addr::parse("1.1.1.1")));
-  }
-  const auto interesting = agg.select_interesting(1, 0);
-  cache.build(interesting, 1);
-  EXPECT_EQ(cache.size(), 10u);
-
-  for (int q = 1; q <= 10; ++q) {
-    const IPv4Addr querier = *IPv4Addr::parse("10.0.0." + std::to_string(q));
-    EXPECT_EQ(cache.category(querier), classify_querier(resolver.resolve(querier)));
   }
 }
 

@@ -1,6 +1,7 @@
 // Dedup, aggregation, dynamic features, and the Sensor facade.
 #include <gtest/gtest.h>
 
+#include "core/feature_engine.hpp"
 #include "core/sensor.hpp"
 
 namespace dnsbs::core {
@@ -121,9 +122,13 @@ TEST(StaticFeatureExtraction, FractionsSumToOne) {
   for (int q = 0; q < 8; ++q) {
     agg.add(rec(q, ("10.0.0." + std::to_string(q)).c_str(), "1.1.1.1"));
   }
+  const netdb::AsDb as_db;
+  const netdb::GeoDb geo_db;
   const StubResolver resolver;
-  const auto f =
-      compute_static_features(agg.aggregates().at(*IPv4Addr::parse("1.1.1.1")), resolver);
+  FeatureEngine engine(as_db, geo_db, resolver, std::make_shared<FeatureExtractionCache>());
+  const auto rows = engine.extract(agg, agg.select_interesting(1, 0), 1, nullptr);
+  ASSERT_EQ(rows.size(), 1u);
+  const StaticFeatures& f = rows[0].statics;
   double sum = 0;
   for (const double v : f) sum += v;
   EXPECT_NEAR(sum, 1.0, 1e-12);
@@ -147,11 +152,14 @@ TEST(DynamicFeatureExtraction, EntropyAndNormalizers) {
   agg.add(rec(1, "10.0.0.1", "1.1.1.1"));  // repeat query, same querier
   agg.add(rec(2, "10.1.7.1", "1.1.1.1"));
 
-  const DynamicFeatureExtractor extractor(as_db, geo_db, agg);
-  EXPECT_EQ(extractor.interval_as_count(), 2u);
-  EXPECT_EQ(extractor.interval_country_count(), 2u);
+  const StubResolver resolver;
+  FeatureEngine engine(as_db, geo_db, resolver, std::make_shared<FeatureExtractionCache>());
+  const auto rows = engine.extract(agg, agg.select_interesting(1, 0), 1, nullptr);
+  EXPECT_EQ(engine.interval_as_count(), 2u);
+  EXPECT_EQ(engine.interval_cc_count(), 2u);
 
-  const auto f = extractor.extract(agg.aggregates().at(*IPv4Addr::parse("1.1.1.1")));
+  ASSERT_EQ(rows.size(), 1u);
+  const DynamicFeatures& f = rows[0].dynamics;
   EXPECT_NEAR(f[static_cast<std::size_t>(DynamicFeature::kQueriesPerQuerier)], 1.5, 1e-12);
   EXPECT_NEAR(f[static_cast<std::size_t>(DynamicFeature::kPersistence)], 1.0, 1e-12);
   // Two queriers in two distinct /24s and /8s: maximal normalized entropy.

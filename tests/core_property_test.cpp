@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "core/feature_engine.hpp"
 #include "core/sensor.hpp"
 #include "util/rng.hpp"
 
@@ -195,8 +196,12 @@ TEST_P(StaticFractionProperty, SumToOneForAnyQuerierMix) {
     r.originator = IPv4Addr(42);
     agg.add(r);
   }
-  const auto f =
-      compute_static_features(agg.aggregates().at(IPv4Addr(42)), resolver);
+  const netdb::AsDb as_db;
+  const netdb::GeoDb geo_db;
+  FeatureEngine engine(as_db, geo_db, resolver, std::make_shared<FeatureExtractionCache>());
+  const auto rows = engine.extract(agg, agg.select_interesting(1, 0), 1, nullptr);
+  ASSERT_EQ(rows.size(), 1u);
+  const StaticFeatures& f = rows[0].statics;
   double sum = 0;
   for (const double v : f) {
     EXPECT_GE(v, 0.0);

@@ -8,16 +8,14 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/pipeline.hpp"
 #include "core/feature_engine.hpp"
 #include "core/sensor.hpp"
+#include "reference_features.hpp"
 #include "util/binio.hpp"
 #include "util/parallel.hpp"
-#include "util/stats.hpp"
 
 namespace dnsbs::core {
 namespace {
@@ -165,58 +163,6 @@ TEST(FeatureEngineOracle, IncrementalMatchesFullRecomputeAcrossWaves) {
   }
 }
 
-/// Map-based reference for the eight dynamic features, accumulating bucket
-/// counts in first-touch order — the order the columnar pass uses — so the
-/// comparison is bitwise, not approximate.
-DynamicFeatures reference_dynamics(const OriginatorAggregate& agg, const netdb::AsDb& as_db,
-                                   const netdb::GeoDb& geo_db, std::size_t norm_periods,
-                                   std::size_t norm_as, std::size_t norm_cc) {
-  DynamicFeatures f{};
-  const std::size_t k = agg.unique_queriers();
-  if (k == 0) return f;
-  std::vector<std::size_t> c24, c8;
-  std::unordered_map<std::uint32_t, std::size_t> pos24, pos8;
-  std::unordered_set<std::uint32_t> ases;
-  std::unordered_set<std::uint16_t> countries;
-  for (const auto& [querier, count] : agg.querier_queries) {
-    auto [it24, new24] = pos24.try_emplace(querier.slash24(), c24.size());
-    if (new24) {
-      c24.push_back(1);
-    } else {
-      ++c24[it24->second];
-    }
-    auto [it8, new8] = pos8.try_emplace(querier.slash8(), c8.size());
-    if (new8) {
-      c8.push_back(1);
-    } else {
-      ++c8[it8->second];
-    }
-    if (const auto asn = as_db.lookup(querier)) ases.insert(*asn);
-    if (const auto cc = geo_db.lookup(querier)) countries.insert(cc->packed());
-  }
-  const double queriers = static_cast<double>(k);
-  f[static_cast<std::size_t>(DynamicFeature::kQueriesPerQuerier)] =
-      static_cast<double>(agg.total_queries) / queriers;
-  f[static_cast<std::size_t>(DynamicFeature::kPersistence)] =
-      norm_periods == 0 ? 0.0
-                        : static_cast<double>(agg.periods.size()) /
-                              static_cast<double>(norm_periods);
-  f[static_cast<std::size_t>(DynamicFeature::kLocalEntropy)] =
-      util::normalized_entropy(std::span<const std::size_t>(c24));
-  f[static_cast<std::size_t>(DynamicFeature::kGlobalEntropy)] =
-      util::normalized_entropy(std::span<const std::size_t>(c8));
-  f[static_cast<std::size_t>(DynamicFeature::kUniqueAs)] =
-      norm_as == 0 ? 0.0 : static_cast<double>(ases.size()) / static_cast<double>(norm_as);
-  f[static_cast<std::size_t>(DynamicFeature::kUniqueCountries)] =
-      norm_cc == 0 ? 0.0
-                   : static_cast<double>(countries.size()) / static_cast<double>(norm_cc);
-  f[static_cast<std::size_t>(DynamicFeature::kQueriersPerCountry)] =
-      static_cast<double>(countries.size()) / queriers;
-  f[static_cast<std::size_t>(DynamicFeature::kQueriersPerAs)] =
-      static_cast<double>(ases.size()) / queriers;
-  return f;
-}
-
 TEST(FeatureEngineEquivalence, SoAColumnsMatchMapReference) {
   const Dbs dbs;
   const CyclingResolver resolver;
@@ -236,31 +182,23 @@ TEST(FeatureEngineEquivalence, SoAColumnsMatchMapReference) {
   EXPECT_EQ(stats.rows_recomputed, rows.size());
   EXPECT_EQ(stats.rows_reused, 0u);
 
-  // Reference extractor for the legacy (map-churn) implementation, for the
-  // within-tolerance comparison below.
-  const DynamicFeatureExtractor legacy(dbs.as_db, dbs.geo_db, agg);
-  EXPECT_EQ(engine.interval_as_count(), legacy.interval_as_count());
-  EXPECT_EQ(engine.interval_cc_count(), legacy.interval_country_count());
+  const reference::IntervalCounts norms =
+      reference::interval_counts(agg, dbs.as_db, dbs.geo_db);
+  EXPECT_EQ(engine.interval_as_count(), norms.as_count);
+  EXPECT_EQ(engine.interval_cc_count(), norms.cc_count);
 
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const OriginatorAggregate& a = *interesting[i];
-    // Statics: bitwise against the per-aggregate resolver path.
-    const StaticFeatures statics = compute_static_features(a, resolver);
+    // Bitwise against the reference extractor: statics resolve every
+    // querier directly, dynamics bucket in first-touch order.
+    const StaticFeatures statics = reference::static_features(a, resolver);
     for (std::size_t c = 0; c < kQuerierCategoryCount; ++c) {
       EXPECT_EQ(rows[i].statics[c], statics[c]) << "row " << i << " static " << c;
     }
-    // Dynamics: bitwise against the first-touch-order map reference...
-    const DynamicFeatures want =
-        reference_dynamics(a, dbs.as_db, dbs.geo_db, agg.total_periods(),
-                           engine.interval_as_count(), engine.interval_cc_count());
+    const DynamicFeatures want = reference::dynamic_features(
+        a, dbs.as_db, dbs.geo_db, agg.total_periods(), norms.as_count, norms.cc_count);
     for (std::size_t d = 0; d < kDynamicFeatureCount; ++d) {
       EXPECT_EQ(rows[i].dynamics[d], want[d]) << "row " << i << " dynamic " << d;
-    }
-    // ...and within float tolerance of the legacy extractor (whose entropy
-    // sums in flat-map slot order — same terms, different order).
-    const DynamicFeatures old = legacy.extract(a);
-    for (std::size_t d = 0; d < kDynamicFeatureCount; ++d) {
-      EXPECT_NEAR(rows[i].dynamics[d], old[d], 1e-12) << "row " << i << " dynamic " << d;
     }
   }
 }
@@ -400,9 +338,8 @@ TEST(FeatureEngineCarryForward, PipelineMatchesIndependentWindows) {
       if (w > 0) {
         for (const auto& r : wave(w)) records.push_back(r);
       }
-      pipeline.enqueue_window(records, SimTime::hours(w), SimTime::hours(w + 1));
+      pipeline.process_window(records, SimTime::hours(w), SimTime::hours(w + 1));
     }
-    pipeline.finish();
     std::vector<std::vector<FeatureVector>> features;
     for (const auto& obs : pipeline.observations()) features.push_back(obs.features);
     return features;
@@ -528,6 +465,101 @@ TEST(FeatureExtractionCacheLoad, ClaimedLengthsBeyondTheStreamFailCleanly) {
     util::BinaryReader reader(in);
     FeatureExtractionCache cache;
     EXPECT_FALSE(cache.load(reader)) << "claim_in_row=" << claim_in_row;
+  }
+}
+
+/// Reads / overwrites a little-endian u32 at `offset` of a saved image.
+std::uint32_t read_u32(const std::string& image, std::size_t offset) {
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | static_cast<std::uint8_t>(image.at(offset + static_cast<std::size_t>(i)));
+  }
+  return v;
+}
+
+void write_u32(std::string& image, std::size_t offset, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    image.at(offset + i) = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+TEST(FeatureExtractionCacheLoad, InternedIdsOutOfRangeAreRejected) {
+  // A cache filled by one real extraction; each case patches one interned
+  // id in its saved image to just past its interner's range.  extract()
+  // indexes columns and scratch by these ids, so load must refuse them.
+  const Dbs dbs;
+  const CyclingResolver resolver;
+  const auto cache = std::make_shared<FeatureExtractionCache>();
+  Sensor sensor(small_config(), dbs.as_db, dbs.geo_db, resolver);
+  sensor.set_feature_cache(cache);
+  for (const auto& r : wave(0)) sensor.ingest(r);
+  ASSERT_FALSE(sensor.extract_features().empty());
+  const std::uint32_t queriers = static_cast<std::uint32_t>(cache->querier_count());
+  const std::uint32_t ases = static_cast<std::uint32_t>(cache->as_count());
+  const std::uint32_t ccs = static_cast<std::uint32_t>(cache->cc_count());
+  const std::uint32_t s24s = static_cast<std::uint32_t>(cache->s24_count());
+  ASSERT_GT(ases, 0u);
+  ASSERT_GT(ccs, 0u);
+
+  std::stringstream bytes;
+  util::BinaryWriter out(bytes);
+  cache->save(out);
+  const std::string image = bytes.str();
+
+  // Offsets follow FeatureExtractionCache::save: a serial, then each id
+  // map as (capacity, size, size x (slot u64, key, id u32)), the querier
+  // columns as (count, count x (as, cc, s24 u32, s8, category u8)), and
+  // the row map, whose entries hold 76 bytes before their qid column.
+  const std::size_t qid_map = 8;
+  const std::size_t columns = qid_map + 16 + 16 * std::size_t{queriers};
+  const std::size_t as_map = columns + 8 + 14 * std::size_t{queriers};
+  const std::size_t cc_map = as_map + 16 + 16 * std::size_t{ases};
+  const std::size_t s24_map = cc_map + 16 + 14 * std::size_t{ccs};
+  const std::size_t rows = s24_map + 16 + 16 * std::size_t{s24s};
+  const std::size_t first_qid = qid_map + 16 + 12;
+  const std::size_t first_column = columns + 8;
+  const std::size_t first_as = as_map + 16 + 12;
+  const std::size_t first_cc = cc_map + 16 + 10;
+  const std::size_t first_s24 = s24_map + 16 + 12;
+  const std::size_t first_row_qid = rows + 16 + 76;
+  // The layout arithmetic lands on the fields it means to patch.
+  ASSERT_EQ(cache->id_of(IPv4Addr{read_u32(image, first_qid - 4)}),
+            read_u32(image, first_qid));
+  ASSERT_EQ(read_u32(image, first_column), cache->as_id(0));
+  ASSERT_EQ(read_u32(image, first_column + 4), cache->cc_id(0));
+  ASSERT_EQ(read_u32(image, first_column + 8), cache->s24_id(0));
+  const IPv4Addr first_row{read_u32(image, rows + 16 + 8)};
+  ASSERT_EQ(read_u32(image, first_row_qid), cache->rows().find(first_row)->second.qids.at(0));
+
+  {
+    std::istringstream in(image);
+    util::BinaryReader reader(in);
+    FeatureExtractionCache restored;
+    ASSERT_TRUE(restored.load(reader));
+  }
+  const struct {
+    const char* field;
+    std::size_t offset;
+    std::uint32_t value;
+  } cases[] = {
+      {"querier-id map value", first_qid, queriers},
+      {"AS id column", first_column, ases + 1},
+      {"CC id column", first_column + 4, ccs + 1},
+      {"/24 id column", first_column + 8, s24s},
+      {"AS id map value 0", first_as, 0},
+      {"AS id map value past size", first_as, ases + 1},
+      {"CC id map value 0", first_cc, 0},
+      {"CC id map value past size", first_cc, ccs + 1},
+      {"/24 id map value", first_s24, s24s},
+      {"row qid", first_row_qid, queriers},
+  };
+  for (const auto& c : cases) {
+    std::string patched = image;
+    write_u32(patched, c.offset, c.value);
+    std::istringstream in(patched);
+    util::BinaryReader reader(in);
+    FeatureExtractionCache restored;
+    EXPECT_FALSE(restored.load(reader)) << c.field;
   }
 }
 

@@ -254,53 +254,60 @@ TEST(ParallelDeterminism, MetricCountersMatchSerial) {
 #endif
 }
 
-TEST(ParallelDeterminism, WindowedPipelineOverlapMatchesSequential) {
-  const auto run_pipeline = [](bool overlapped) {
-    sim::Scenario scenario(sim::b_multi_year_config(421, 4, 0.07));
-    labeling::Darknet darknet(labeling::default_darknet_prefixes());
-    scenario.engine().set_traffic_observer(&darknet);
+TEST(ParallelDeterminism, ProcessWindowMatchesAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  // Simulate the four weekly windows once (serially); labels are curated
+  // after week 0, as a deployment would.  Each thread count then replays
+  // the same records through its own pipeline.
+  util::set_thread_count(1);
+  sim::Scenario scenario(sim::b_multi_year_config(421, 4, 0.07));
+  labeling::Darknet darknet(labeling::default_darknet_prefixes());
+  scenario.engine().set_traffic_observer(&darknet);
+  analysis::WindowedPipelineConfig pc;
+  pc.sensor.min_queriers = 10;
+  pc.forest.n_trees = 30;
 
-    analysis::WindowedPipelineConfig pc;
-    pc.sensor.min_queriers = 10;
-    pc.forest.n_trees = 30;
+  std::vector<std::vector<dns::QueryRecord>> records;
+  labeling::GroundTruth labels;
+  for (int w = 0; w < 4; ++w) {
+    scenario.run_window(util::SimTime::weeks(w), util::SimTime::weeks(w + 1));
+    records.push_back(scenario.authority(0).records());
+    scenario.authority(0).clear_records();
+    if (w == 0) {
+      core::Sensor sensor(pc.sensor, scenario.plan().as_db(), scenario.plan().geo_db(),
+                          scenario.naming());
+      sensor.ingest_all(records[0]);
+      util::Rng rng(5);
+      const auto blacklist = labeling::BlacklistSet::build(scenario.population(), {}, rng);
+      labeling::Curator curator(scenario, blacklist, darknet, {}, 6);
+      labels = curator.curate(sensor.extract_features());
+    }
+  }
+
+  const auto run_pipeline = [&](std::size_t threads) {
+    util::set_thread_count(threads);
     analysis::WindowedPipeline pipeline(pc, scenario.plan().as_db(),
                                         scenario.plan().geo_db(), scenario.naming());
-
-    scenario.run_window(util::SimTime::weeks(0), util::SimTime::weeks(1));
-    pipeline.process_window(scenario.authority(0).records(), util::SimTime::weeks(0),
-                            util::SimTime::weeks(1));
-    scenario.authority(0).clear_records();
-
-    util::Rng rng(5);
-    const auto blacklist = labeling::BlacklistSet::build(scenario.population(), {}, rng);
-    labeling::Curator curator(scenario, blacklist, darknet, {}, 6);
-    pipeline.set_labels(curator.curate(pipeline.observations()[0].features));
-
-    for (int w = 1; w < 4; ++w) {
-      scenario.run_window(util::SimTime::weeks(w), util::SimTime::weeks(w + 1));
-      if (overlapped) {
-        pipeline.enqueue_window(scenario.authority(0).records(), util::SimTime::weeks(w),
-                                util::SimTime::weeks(w + 1));
-      } else {
-        pipeline.process_window(scenario.authority(0).records(), util::SimTime::weeks(w),
-                                util::SimTime::weeks(w + 1));
-      }
-      scenario.authority(0).clear_records();
+    for (int w = 0; w < 4; ++w) {
+      pipeline.process_window(records[static_cast<std::size_t>(w)], util::SimTime::weeks(w),
+                              util::SimTime::weeks(w + 1));
+      if (w == 0) pipeline.set_labels(labels);
     }
-    pipeline.finish();
     return pipeline.results();
   };
 
-  const auto sequential = run_pipeline(false);
-  const auto overlapped = run_pipeline(true);
-  ASSERT_EQ(sequential.size(), overlapped.size());
-  for (std::size_t w = 0; w < sequential.size(); ++w) {
-    EXPECT_EQ(sequential[w].classes, overlapped[w].classes) << "window " << w;
-    EXPECT_EQ(sequential[w].footprints, overlapped[w].footprints) << "window " << w;
-    // Each window's stats come from its own sensor, so overlapping the next
-    // window's sensor pass with this window's train task cannot move them.
-    EXPECT_EQ(sequential[w].stats, overlapped[w].stats) << "window " << w;
+  const auto serial = run_pipeline(1);
+  const auto parallel = run_pipeline(4);
+  ASSERT_EQ(serial.size(), 4u);
+  ASSERT_EQ(parallel.size(), 4u);
+  for (std::size_t w = 0; w < serial.size(); ++w) {
+    EXPECT_EQ(serial[w].classes, parallel[w].classes) << "window " << w;
+    EXPECT_EQ(serial[w].footprints, parallel[w].footprints) << "window " << w;
+    // Each window's stats come from its own sensor, so sharded ingest and
+    // parallel extraction/training cannot move them.
+    EXPECT_EQ(serial[w].stats, parallel[w].stats) << "window " << w;
   }
+  EXPECT_TRUE(serial.back().stats.retrained) << "the labeled windows should retrain";
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ struct Options {
   std::string windows_out;
   std::string ready_file;
   std::uint64_t history_cap = 256;  ///< per-window telemetry ring (0 = off)
-  /// Async window pipeline: close/train/export on the job system instead
+  /// Async window pipeline: close/export on the job system instead
   /// of inline on the drive thread.  Output is byte-identical either way;
   /// "off" is the debugging fallback that keeps everything single-threaded.
   bool async_windows = true;

@@ -3,7 +3,8 @@
 // Measures, on a seeded synthetic workload:
 //   * parse_record lines/sec        (text log -> QueryRecord)
 //   * ingest_all records/sec        (dedup + per-originator aggregation)
-//   * extract_features vectors/sec  (static + dynamic features)
+//   * extract_features rows/sec     (static + dynamic features, cold: a
+//                                    freshly ingested sensor, empty cache)
 //   * dedup window-state size/bytes and peak RSS
 //
 // Modes:
@@ -20,8 +21,8 @@
 //                                                  instead of the end-to-end one:
 //                                                  high-footprint multi-window
 //                                                  workload with configurable
-//                                                  churn, measuring cold / churn /
-//                                                  warm extraction rates against
+//                                                  churn, measuring cold and
+//                                                  churn extraction rates against
 //                                                  BENCH_perf_features.json
 //                                                  (knobs: --originators
 //                                                  --queriers --windows --churn)
@@ -126,7 +127,7 @@ struct Results {
   std::uint64_t admitted = 0;
   double parse_lines_per_s = 0;
   double ingest_records_per_s = 0;
-  double features_per_s = 0;
+  double features_cold_rows_per_s = 0;
   double end_to_end_records_per_s = 0;
 };
 
@@ -220,19 +221,19 @@ class FeatureBenchResolver final : public core::QuerierResolver {
 };
 
 /// --features: the feature-extraction scenario behind the
-/// BENCH_perf_features.json gate.  A high-footprint multi-window workload
-/// built so the incremental engine's three regimes are each measured in
-/// isolation (ingest time is excluded from every timed region):
+/// BENCH_perf_features.json gate.  A high-footprint multi-window workload,
+/// extracted the way the daemon closes windows: one fresh sensor per
+/// window, every sensor on one shared feature cache, one extraction each.
+/// Ingest time is excluded from every timed region.
 ///
 ///   * cold:  window 0 seeds every originator, every persistence bucket
-///            and every AS/country the run will ever see; the first
-///            extraction computes all rows from scratch.
-///   * churn: each later window mutates a --churn fraction of originators
-///            with new queriers drawn from the existing address space and
-///            time range, so interval normalizers hold still and only the
-///            dirty rows recompute.
-///   * warm:  extraction with no ingest in between — the unchanged-sensor
-///            fast path returning the cached rows.
+///            and every AS/country the run will ever see; its extraction
+///            computes all rows from an empty cache.
+///   * churn: each later window repeats the earlier traffic and adds new
+///            queriers for a --churn fraction of originators, drawn from
+///            the existing address space and time range, so interval
+///            normalizers hold still: the churned rows recompute and the
+///            rest are reused from the cache.
 int run_features(int argc, char** argv) {
   const bool smoke = arg_flag(argc, argv, "--smoke");
   const std::uint64_t seed = arg_seed(argc, argv, 7);
@@ -252,7 +253,7 @@ int run_features(int argc, char** argv) {
   const std::string baseline_path = arg_str(argc, argv, "--baseline", "");
 
   print_header("perf_features",
-               "§III feature extraction (columnar SoA + incremental recompute)",
+               "§III feature extraction (columnar SoA + carry-forward cache)",
                util::format("originators=%zu queriers=%zu windows=%zu churn=%.3f "
                             "seed=%llu threads=%zu repeat=%d",
                             originators, queriers, windows, churn,
@@ -321,38 +322,35 @@ int run_features(int argc, char** argv) {
   cfg.threads = threads;
   cfg.top_n = 0;  // keep every analyzable originator: rows == originators
 
-  double cold_best = 0.0, churn_best = 0.0, warm_best = 0.0;
+  double cold_best = 0.0, churn_best = 0.0;
   std::size_t rows = 0;
-  constexpr int kWarmIters = 64;
   for (int r = 0; r < repeat; ++r) {
-    core::Sensor sensor(cfg, as_db, geo_db, resolver);
-    sensor.ingest_all(window_records[0]);
-    auto t0 = Clock::now();
-    rows = sensor.extract_features().size();
-    cold_best = std::max(cold_best, static_cast<double>(rows) / seconds_since(t0));
-    if (rows != originators) std::abort();  // every originator must be analyzable
-
+    const auto cache = std::make_shared<core::FeatureExtractionCache>();
     double churn_secs = 0.0;
     std::size_t churn_rows = 0;
-    for (std::size_t w = 1; w < windows; ++w) {
-      sensor.ingest_all(window_records[w]);
-      t0 = Clock::now();
+    for (std::size_t w = 0; w < windows; ++w) {
+      // Window w's sensor holds window 0's traffic plus the churn of
+      // windows 1..w, ingested batch by batch.
+      core::Sensor sensor(cfg, as_db, geo_db, resolver);
+      sensor.set_feature_cache(cache);
+      for (std::size_t b = 0; b <= w; ++b) sensor.ingest_all(window_records[b]);
+      const auto t0 = Clock::now();
       const std::size_t n = sensor.extract_features().size();
-      churn_secs += seconds_since(t0);
-      churn_rows += n;
-      if (n != rows) std::abort();
+      const double secs = seconds_since(t0);
+      if (w == 0) {
+        rows = n;
+        cold_best = std::max(cold_best, static_cast<double>(rows) / secs);
+        if (rows != originators) std::abort();  // every originator must be analyzable
+      } else {
+        churn_secs += secs;
+        churn_rows += n;
+        if (n != rows) std::abort();
+      }
     }
     if (windows > 1) {
       churn_best =
           std::max(churn_best, static_cast<double>(churn_rows) / churn_secs);
     }
-
-    t0 = Clock::now();
-    for (int i = 0; i < kWarmIters; ++i) {
-      if (sensor.extract_features().size() != rows) std::abort();
-    }
-    warm_best = std::max(warm_best, static_cast<double>(rows) * kWarmIters /
-                                        seconds_since(t0));
   }
 
   const long rss_kb = peak_rss_kb();
@@ -360,13 +358,11 @@ int run_features(int argc, char** argv) {
   const Axis axes[] = {
       {"features_cold_rows_per_s", cold_best},
       {"features_churn_rows_per_s", churn_best},
-      {"features_warm_rows_per_s", warm_best},
   };
 
   std::printf("rows               %zu per extraction (%zu windows)\n", rows, windows);
   std::printf("cold               %.0f rows/s\n", cold_best);
   std::printf("churn              %.0f rows/s\n", churn_best);
-  std::printf("warm               %.0f rows/s\n", warm_best);
   std::printf("reused/recomputed  %lld / %lld (queriers interned %lld)\n",
               static_cast<long long>(snapshot.scalar("dnsbs.features.rows_reused")),
               static_cast<long long>(snapshot.scalar("dnsbs.features.rows_recomputed")),
@@ -386,7 +382,6 @@ int run_features(int argc, char** argv) {
        << "  \"rows\": " << rows << ",\n"
        << "  \"features_cold_rows_per_s\": " << cold_best << ",\n"
        << "  \"features_churn_rows_per_s\": " << churn_best << ",\n"
-       << "  \"features_warm_rows_per_s\": " << warm_best << ",\n"
        << "  \"peak_rss_kb\": " << rss_kb << ",\n"
        << "  \"metrics\": " << snapshot.to_json();
     if (!baseline_path.empty()) append_baseline(os, baseline_path, axes);
@@ -995,17 +990,19 @@ int run(int argc, char** argv) {
     sensor.ingest_all(records);
   });
 
-  // --- features: resolver classification + dynamic features -------------
-  auto sensor = make_sensor();
-  sensor.ingest_all(records);
-  res.dedup_state_entries = sensor.dedup().state_size();
-  res.admitted = sensor.dedup().admitted();
-  const auto features = sensor.extract_features();
-  res.interesting = features.size();
-  if (res.interesting != 0) {
-    res.features_per_s = best_of(repeat, res.interesting, [&] {
-      if (sensor.extract_features().size() != res.interesting) std::abort();
-    });
+  // --- features: cold extraction from a freshly ingested sensor ----------
+  for (int r = 0; r < repeat; ++r) {
+    auto sensor = make_sensor();
+    sensor.ingest_all(records);
+    res.dedup_state_entries = sensor.dedup().state_size();
+    res.admitted = sensor.dedup().admitted();
+    const auto t0 = Clock::now();
+    res.interesting = sensor.extract_features().size();
+    const double secs = seconds_since(t0);
+    if (res.interesting != 0) {
+      res.features_cold_rows_per_s = std::max(res.features_cold_rows_per_s,
+                                              static_cast<double>(res.interesting) / secs);
+    }
   }
 
   // --- end to end: fresh sensor, ingest + extract -----------------------
@@ -1019,7 +1016,7 @@ int run(int argc, char** argv) {
   const Axis axes[] = {
       {"parse_lines_per_s", res.parse_lines_per_s},
       {"ingest_records_per_s", res.ingest_records_per_s},
-      {"features_per_s", res.features_per_s},
+      {"features_cold_rows_per_s", res.features_cold_rows_per_s},
       {"end_to_end_records_per_s", res.end_to_end_records_per_s},
   };
 
@@ -1027,7 +1024,7 @@ int run(int argc, char** argv) {
               res.interesting);
   std::printf("parse              %.0f lines/s\n", res.parse_lines_per_s);
   std::printf("ingest             %.0f records/s\n", res.ingest_records_per_s);
-  std::printf("extract_features   %.0f vectors/s\n", res.features_per_s);
+  std::printf("extract_features   %.0f rows/s (cold)\n", res.features_cold_rows_per_s);
   std::printf("end-to-end         %.0f records/s\n", res.end_to_end_records_per_s);
   std::printf("dedup state        %zu entries (admitted %llu)\n", res.dedup_state_entries,
               static_cast<unsigned long long>(res.admitted));
@@ -1044,7 +1041,7 @@ int run(int argc, char** argv) {
        << "  \"interesting\": " << res.interesting << ",\n"
        << "  \"parse_lines_per_s\": " << res.parse_lines_per_s << ",\n"
        << "  \"ingest_records_per_s\": " << res.ingest_records_per_s << ",\n"
-       << "  \"features_per_s\": " << res.features_per_s << ",\n"
+       << "  \"features_cold_rows_per_s\": " << res.features_cold_rows_per_s << ",\n"
        << "  \"end_to_end_records_per_s\": " << res.end_to_end_records_per_s << ",\n"
        << "  \"dedup_state_entries\": " << res.dedup_state_entries << ",\n"
        << "  \"peak_rss_kb\": " << rss_kb << ",\n"

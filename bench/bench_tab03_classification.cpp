@@ -94,18 +94,37 @@ DatasetRun build(const char* name, sim::ScenarioConfig config, std::size_t autho
 // (b) end-to-end window processing (ingest -> features -> retrain ->
 // classify), checks that every thread count reproduces the serial output
 // exactly, and emits a machine-readable BENCH_parallel.json so the perf
-// trajectory across PRs has a seedable baseline.
+// trajectory across PRs has a seedable baseline.  Each thread count is
+// timed kTimedRuns times; the sweep reports the median and stores the
+// interquartile range next to it, so a reader can tell a change from noise.
 // ---------------------------------------------------------------------------
 
-double time_best_of(int reps, const std::function<void()>& fn) {
-  double best = 1e300;
+/// Wall-clock seconds of `reps` timed runs: the median and the quartiles
+/// (linear interpolation between order statistics).
+struct Timing {
+  double median;
+  double q1;
+  double q3;
+};
+
+constexpr int kTimedRuns = 7;
+
+Timing time_runs(int reps, const std::function<void()>& fn) {
+  std::vector<double> secs;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-    best = std::min(best, dt.count());
+    secs.push_back(dt.count());
   }
-  return best;
+  std::sort(secs.begin(), secs.end());
+  const auto quantile = [&secs](double p) {
+    const double pos = p * static_cast<double>(secs.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, secs.size() - 1);
+    return secs[lo] + (pos - static_cast<double>(lo)) * (secs[hi] - secs[lo]);
+  };
+  return Timing{quantile(0.5), quantile(0.25), quantile(0.75)};
 }
 
 std::vector<std::size_t> sweep_thread_counts() {
@@ -117,8 +136,8 @@ std::vector<std::size_t> sweep_thread_counts() {
 
 struct SweepPoint {
   std::size_t threads;
-  double seconds;
-  double rate;  ///< trees/s or records/s
+  Timing seconds;
+  double rate;  ///< trees/s or records/s at the median time
 };
 
 void print_sweep(const char* what, const char* rate_name,
@@ -126,8 +145,10 @@ void print_sweep(const char* what, const char* rate_name,
   std::printf("%s (output identical across thread counts: %s)\n", what,
               identical ? "yes" : "NO - DETERMINISM VIOLATION");
   for (const auto& p : points) {
-    std::printf("  threads=%zu  %.3fs  %s=%.0f  speedup=%.2fx\n", p.threads, p.seconds,
-                rate_name, p.rate, points.front().seconds / p.seconds);
+    std::printf("  threads=%zu  median %.3fs  iqr %.3fs (%.3f-%.3f)  %s=%.0f  speedup=%.2fx\n",
+                p.threads, p.seconds.median, p.seconds.q3 - p.seconds.q1, p.seconds.q1,
+                p.seconds.q3, rate_name, p.rate,
+                points.front().seconds.median / p.seconds.median);
   }
 }
 
@@ -137,9 +158,11 @@ void write_sweep_json(std::ostream& os, const char* name, const char* rate_name,
      << (identical ? "true" : "false") << ",\n    \"sweep\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
-    os << "      {\"threads\": " << p.threads << ", \"seconds\": " << p.seconds
-       << ", \"" << rate_name << "\": " << p.rate
-       << ", \"speedup\": " << points.front().seconds / p.seconds << "}"
+    os << "      {\"threads\": " << p.threads << ", \"seconds\": " << p.seconds.median
+       << ", \"seconds_q1\": " << p.seconds.q1 << ", \"seconds_q3\": " << p.seconds.q3
+       << ", \"iqr_seconds\": " << p.seconds.q3 - p.seconds.q1 << ", \"" << rate_name
+       << "\": " << p.rate
+       << ", \"speedup\": " << points.front().seconds.median / p.seconds.median << "}"
        << (i + 1 < points.size() ? "," : "") << "\n";
   }
   os << "    ]\n  }";
@@ -173,7 +196,7 @@ int run_parallel_baseline(std::uint64_t seed, double scale, const std::string& j
   bool rf_identical = true;
   for (const std::size_t t : thread_counts) {
     util::set_thread_count(t);
-    const double secs = time_best_of(3, [&] {
+    const Timing secs = time_runs(kTimedRuns, [&] {
       ml::RandomForest rf(fc);
       rf.fit(data);
     });
@@ -181,7 +204,7 @@ int run_parallel_baseline(std::uint64_t seed, double scale, const std::string& j
     check.fit(data);
     rf_identical = rf_identical && check.predict_all(data) == reference_pred &&
                    check.gini_importance() == reference_imp;
-    rf_points.push_back({t, secs, static_cast<double>(fc.n_trees) / secs});
+    rf_points.push_back({t, secs, static_cast<double>(fc.n_trees) / secs.median});
   }
   print_sweep("RF training", "trees/s", rf_points, rf_identical);
 
@@ -240,7 +263,7 @@ int run_parallel_baseline(std::uint64_t seed, double scale, const std::string& j
   bool win_identical = true;
   for (const std::size_t t : thread_counts) {
     util::set_thread_count(t);
-    const double secs = time_best_of(2, [&] { run_windows(); });
+    const Timing secs = time_runs(kTimedRuns, [&] { run_windows(); });
     const auto check = run_windows();
     bool same = check.size() == reference_results.size();
     for (std::size_t w = 0; same && w < check.size(); ++w) {
@@ -248,7 +271,7 @@ int run_parallel_baseline(std::uint64_t seed, double scale, const std::string& j
              check[w].footprints == reference_results[w].footprints;
     }
     win_identical = win_identical && same;
-    win_points.push_back({t, secs, static_cast<double>(total_records) / secs});
+    win_points.push_back({t, secs, static_cast<double>(total_records) / secs.median});
   }
   print_sweep("window pipeline", "records/s", win_points, win_identical);
   util::set_thread_count(0);
@@ -260,7 +283,8 @@ int run_parallel_baseline(std::uint64_t seed, double scale, const std::string& j
        << ",\n  \"rf_examples\": " << data.size()
        << ",\n  \"rf_trees\": " << fc.n_trees
        << ",\n  \"window_count\": " << weeks
-       << ",\n  \"window_records\": " << total_records << ",\n";
+       << ",\n  \"window_records\": " << total_records
+       << ",\n  \"timed_runs\": " << kTimedRuns << ",\n";
   write_sweep_json(json, "rf_training", "trees_per_s", rf_points, rf_identical);
   json << ",\n";
   write_sweep_json(json, "window_pipeline", "records_per_s", win_points, win_identical);

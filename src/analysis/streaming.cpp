@@ -20,7 +20,9 @@ constexpr char kMagic[8] = {'D', 'N', 'S', 'B', 'S', 'C', 'K', 'P'};
 // v3: appended the drive-side (ingest) attribution snapshot.
 // v4: the three registry snapshots replaced by one late-drop watermark;
 //     window stats come from the window's own state, not the registry.
-constexpr std::uint32_t kVersion = 4;
+// v5: aggregates and feature-cache rows lost their modification stamps
+//     and the cache its interval serial.
+constexpr std::uint32_t kVersion = 5;
 
 // All three are deterministic: window opens/closes and lateness are pure
 // functions of the record timestamp stream.

@@ -66,8 +66,6 @@ void OriginatorAggregator::add(const dns::QueryRecord& record) {
     interval_queriers_.add(record.querier.value());
   }
   ++agg.total_queries;
-  ++agg.mod_count;
-  ++mutation_count_;
   const std::int64_t period = record.time.secs() / period_.secs();
   agg.add_period(period);
   all_periods_.insert(period);
@@ -109,7 +107,6 @@ void OriginatorAggregator::merge_from(OriginatorAggregator&& other) {
         mine.first_seen = std::min(mine.first_seen, theirs.first_seen);
         mine.last_seen = std::max(mine.last_seen, theirs.last_seen);
         mine.total_queries += theirs.total_queries;
-        mine.mod_count += theirs.mod_count;
         merge_sorted_periods(mine.periods, theirs.periods);
         if (sketch_.mode == QuerierStateMode::kExact) {
           mine.querier_queries.reserve(mine.querier_queries.size() +
@@ -155,8 +152,6 @@ void OriginatorAggregator::merge_from(OriginatorAggregator&& other) {
   if (sketch_.mode == QuerierStateMode::kSketch) {
     interval_queriers_.merge_from(other.interval_queriers_);
   }
-  mutation_count_ += other.mutation_count_;
-  other.mutation_count_ = 0;
 }
 
 std::size_t OriginatorAggregator::promoted_count() const noexcept {
@@ -238,7 +233,6 @@ void OriginatorAggregator::save(util::BinaryWriter& out) const {
         out.i64(agg.first_seen.secs());
         out.i64(agg.last_seen.secs());
         out.u64(agg.total_queries);
-        out.u64(agg.mod_count);
         out.u64(agg.querier_queries.capacity());
         out.u64(agg.querier_queries.size());
         agg.querier_queries.for_each_slot(
@@ -257,7 +251,6 @@ void OriginatorAggregator::save(util::BinaryWriter& out) const {
         }
       });
   save_period_set(out, all_periods_);
-  out.u64(mutation_count_);
   if (sketch_mode) interval_queriers_.save(out);
 }
 
@@ -282,7 +275,6 @@ bool OriginatorAggregator::load(util::BinaryReader& in) {
     agg.first_seen = util::SimTime::seconds(in.i64());
     agg.last_seen = util::SimTime::seconds(in.i64());
     agg.total_queries = in.u64();
-    agg.mod_count = in.u64();
     const std::uint64_t qcap = in.u64();
     const std::uint64_t qn = in.u64();
     if (!in.ok() || qn > qcap || !agg.querier_queries.restore_layout(qcap)) return false;
@@ -308,7 +300,6 @@ bool OriginatorAggregator::load(util::BinaryReader& in) {
     if (!aggregates_.place(slot, addr, std::move(agg))) return false;
   }
   if (!load_period_set(in, all_periods_)) return false;
-  mutation_count_ = in.u64();
   if (sketch_mode && !interval_queriers_.load(in)) return false;
   return in.ok();
 }

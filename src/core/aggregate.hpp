@@ -90,14 +90,10 @@ struct OriginatorAggregate {
   std::unique_ptr<QuerierSketches> sketch;
   util::SimTime first_seen{};
   util::SimTime last_seen{};
+  /// Admitted records folded into this aggregate (merge sums both sides).
+  /// The feature cache compares it, with the flattened histogram, to
+  /// decide whether a cached row still holds (feature_engine.hpp).
   std::uint64_t total_queries = 0;
-  /// Modification stamp: number of admitted records folded into this
-  /// aggregate (merge sums both sides).  All records of one originator are
-  /// ingested by one shard, so the stamp is a pure function of the input
-  /// stream — identical across DNSBS_THREADS.  The incremental feature
-  /// path uses it as a cheap per-originator dirty check: within one
-  /// extraction interval, an unchanged stamp means an unchanged aggregate.
-  std::uint64_t mod_count = 0;
 
   bool promoted() const noexcept { return sketch != nullptr; }
 
@@ -148,12 +144,6 @@ class OriginatorAggregator {
   /// (denominator for the persistence feature).
   std::size_t total_periods() const noexcept { return all_periods_.size(); }
 
-  /// Total admitted records folded into this aggregator (merge_from sums
-  /// shard counts, so the value matches serial ingest for any thread
-  /// count).  An unchanged count between two extract_features() calls
-  /// means the whole interval is unchanged — the sensor's fast path.
-  std::uint64_t mutation_count() const noexcept { return mutation_count_; }
-
   const util::FlatMap<net::IPv4Addr, OriginatorAggregate>& aggregates() const noexcept {
     return aggregates_;
   }
@@ -202,7 +192,6 @@ class OriginatorAggregator {
   util::FlatMap<net::IPv4Addr, OriginatorAggregate> aggregates_;
   util::FlatSet<std::int64_t> all_periods_;
   util::CardinalityEstimator interval_queriers_;
-  std::uint64_t mutation_count_ = 0;
 };
 
 }  // namespace dnsbs::core

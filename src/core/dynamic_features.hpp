@@ -1,5 +1,5 @@
 // Dynamic features: spatial and temporal structure of an originator's
-// queriers (paper §III-C).  core::FeatureEngine computes them
+// queriers (paper §III-C).  core::extract_feature_rows computes them
 // (core/feature_engine.hpp).
 //
 //   queries per querier   (temporal)  mean queries per unique querier

@@ -132,7 +132,6 @@ bool load_u32_column(util::BinaryReader& in, std::vector<std::uint32_t>& column,
 }  // namespace
 
 void FeatureExtractionCache::save(util::BinaryWriter& out) const {
-  out.u64(interval_serial_);
   save_id_map(out, qid_, [&out](net::IPv4Addr q) { out.u32(q.value()); });
   // Columns (parallel arrays indexed by querier id).
   out.u64(category_.size());
@@ -151,8 +150,6 @@ void FeatureExtractionCache::save(util::BinaryWriter& out) const {
   rows_.for_each_slot([&out](std::size_t slot, net::IPv4Addr addr, const RowEntry& e) {
     out.u64(slot);
     out.u32(addr.value());
-    out.u64(e.interval_token);
-    out.u64(e.mod_count);
     out.u64(e.total_queries);
     out.u64(e.period_count);
     out.u64(e.footprint);
@@ -170,7 +167,6 @@ void FeatureExtractionCache::save(util::BinaryWriter& out) const {
 }
 
 bool FeatureExtractionCache::load(util::BinaryReader& in) {
-  interval_serial_ = in.u64();
   if (!load_id_map(in, qid_, [&in] { return net::IPv4Addr{in.u32()}; })) return false;
   const std::uint64_t queriers = in.u64();
   if (!in.ok() || queriers > kMaxLoadLen) return false;
@@ -196,7 +192,7 @@ bool FeatureExtractionCache::load(util::BinaryReader& in) {
   if (!load_id_map(in, as_ids_, [&in] { return netdb::Asn{in.u32()}; })) return false;
   if (!load_id_map(in, cc_ids_, [&in] { return in.u16(); })) return false;
   if (!load_id_map(in, s24_ids_, [&in] { return in.u32(); })) return false;
-  // Every interned id must index what it names: extract() reads the
+  // Every interned id must index what it names: extraction reads the
   // columns by querier id and writes its AS/CC scratch by AS/CC id (0 is
   // "no mapping", so those ids run 1..count).
   if (!ids_in(qid_, 0, querier_count()) || !ids_in(as_ids_, 1, as_count() + 1) ||
@@ -212,8 +208,6 @@ bool FeatureExtractionCache::load(util::BinaryReader& in) {
     const std::uint64_t slot = in.u64();
     const net::IPv4Addr addr{in.u32()};
     RowEntry e;
-    e.interval_token = in.u64();
-    e.mod_count = in.u64();
     e.total_queries = in.u64();
     e.period_count = in.u64();
     e.footprint = in.u64();
@@ -235,31 +229,36 @@ bool FeatureExtractionCache::load(util::BinaryReader& in) {
   return in.ok();
 }
 
-void FeatureEngine::Scratch::ensure(std::size_t s24_n, std::size_t as_n, std::size_t cc_n) {
-  if (stamp24.size() < s24_n) {
-    stamp24.resize(s24_n, 0);
-    pos24.resize(s24_n, 0);
-  }
-  if (stamp8.empty()) {
-    stamp8.resize(256, 0);
-    pos8.resize(256, 0);
-  }
-  if (stamp_as.size() < as_n + 1) stamp_as.resize(as_n + 1, 0);
-  if (stamp_cc.size() < cc_n + 1) stamp_cc.resize(cc_n + 1, 0);
-}
+namespace {
 
-FeatureEngine::FeatureEngine(const netdb::AsDb& as_db, const netdb::GeoDb& geo_db,
-                             const QuerierResolver& resolver,
-                             std::shared_ptr<FeatureExtractionCache> cache)
-    : as_db_(as_db),
-      geo_db_(geo_db),
-      resolver_(resolver),
-      cache_(std::move(cache)),
-      token_(cache_->next_interval_token()) {}
+/// Epoch-stamped scratch for one worker slot: bucket membership is
+/// detected by comparing a per-bucket stamp against the current row's
+/// epoch, so buffers are reused across rows without clearing.
+struct Scratch {
+  std::vector<std::uint64_t> stamp24, stamp8, stamp_as, stamp_cc;
+  std::vector<std::uint32_t> pos24, pos8;
+  std::vector<std::size_t> counts24, counts8;  ///< first-touch bucket order
+  std::uint64_t epoch = 0;
 
-FeatureVector FeatureEngine::compute_row(const FeatureExtractionCache::RowEntry& entry,
-                                         net::IPv4Addr originator, Scratch& s) const {
-  const FeatureExtractionCache& cache = *cache_;
+  Scratch(std::size_t s24_n, std::size_t as_n, std::size_t cc_n)
+      : stamp24(s24_n, 0),
+        stamp8(256, 0),
+        stamp_as(as_n + 1, 0),
+        stamp_cc(cc_n + 1, 0),
+        pos24(s24_n, 0),
+        pos8(256, 0) {}
+};
+
+/// Interval-wide normalizers a row is computed under.
+struct Norms {
+  std::uint64_t periods = 0;
+  std::uint32_t as = 0;
+  std::uint32_t cc = 0;
+};
+
+FeatureVector compute_row(const FeatureExtractionCache& cache,
+                          const FeatureExtractionCache::RowEntry& entry,
+                          net::IPv4Addr originator, const Norms& norms, Scratch& s) {
   FeatureVector fv;
   fv.originator = originator;
   const std::size_t k = entry.qids.size();
@@ -320,19 +319,17 @@ FeatureVector FeatureEngine::compute_row(const FeatureExtractionCache::RowEntry&
   f[static_cast<std::size_t>(DynamicFeature::kQueriesPerQuerier)] =
       static_cast<double>(entry.total_queries) / static_cast<double>(entry.footprint);
   f[static_cast<std::size_t>(DynamicFeature::kPersistence)] =
-      periods_norm_ == 0 ? 0.0
+      norms.periods == 0 ? 0.0
                          : static_cast<double>(entry.period_count) /
-                               static_cast<double>(periods_norm_);
+                               static_cast<double>(norms.periods);
   f[static_cast<std::size_t>(DynamicFeature::kLocalEntropy)] =
       util::normalized_entropy(std::span<const std::size_t>(s.counts24));
   f[static_cast<std::size_t>(DynamicFeature::kGlobalEntropy)] =
       util::normalized_entropy(std::span<const std::size_t>(s.counts8));
   f[static_cast<std::size_t>(DynamicFeature::kUniqueAs)] =
-      as_norm_ == 0 ? 0.0
-                    : static_cast<double>(distinct_as) / static_cast<double>(as_norm_);
+      norms.as == 0 ? 0.0 : static_cast<double>(distinct_as) / static_cast<double>(norms.as);
   f[static_cast<std::size_t>(DynamicFeature::kUniqueCountries)] =
-      cc_norm_ == 0 ? 0.0
-                    : static_cast<double>(distinct_cc) / static_cast<double>(cc_norm_);
+      norms.cc == 0 ? 0.0 : static_cast<double>(distinct_cc) / static_cast<double>(norms.cc);
   f[static_cast<std::size_t>(DynamicFeature::kQueriersPerCountry)] =
       static_cast<double>(distinct_cc) / queriers;
   f[static_cast<std::size_t>(DynamicFeature::kQueriersPerAs)] =
@@ -340,24 +337,20 @@ FeatureVector FeatureEngine::compute_row(const FeatureExtractionCache::RowEntry&
   return fv;
 }
 
-std::vector<FeatureVector> FeatureEngine::extract(
-    const OriginatorAggregator& interval,
-    std::span<const OriginatorAggregate* const> interesting, std::size_t threads,
-    FeatureExtractionStats* stats_out) {
-  FeatureExtractionCache& cache = *cache_;
-  FeatureExtractionStats stats;
+}  // namespace
 
-  // --- 1. Dirty scan: which aggregates changed since this engine last
-  // looked, and which of their queriers the interner hasn't met yet.
-  std::vector<const OriginatorAggregate*> dirty;
+std::vector<FeatureVector> extract_feature_rows(
+    const OriginatorAggregator& interval,
+    std::span<const OriginatorAggregate* const> interesting, FeatureExtractionCache& cache,
+    const netdb::AsDb& as_db, const netdb::GeoDb& geo_db, const QuerierResolver& resolver,
+    std::size_t threads, FeatureExtractionStats& stats) {
+  stats = FeatureExtractionStats{};
+
+  // --- 1. Collect the queriers the interner hasn't met yet, in first-seen
+  // order over the interval's aggregates.
   std::vector<net::IPv4Addr> pending;
   util::FlatSet<net::IPv4Addr> pending_seen;
-  scanned_.reserve(interval.aggregates().size());
   for (const auto& [addr, agg] : interval.aggregates()) {
-    auto [slot, inserted] = scanned_.try_emplace(addr, std::uint64_t{0});
-    if (!inserted && slot->second == agg.mod_count) continue;
-    slot->second = agg.mod_count;
-    dirty.push_back(&agg);
     for (const auto& [querier, count] : agg.querier_queries) {
       if (cache.id_of(querier) == FeatureExtractionCache::kNoId &&
           pending_seen.insert(querier)) {
@@ -365,7 +358,6 @@ std::vector<FeatureVector> FeatureEngine::extract(
       }
     }
   }
-  stats.dirty_originators = dirty.size();
 
   // --- 2. Take the unseen queriers' resolve-ahead memo hits, resolve the
   // misses in parallel (resolver and AS/geo databases are read-only), then
@@ -383,37 +375,36 @@ std::vector<FeatureVector> FeatureEngine::extract(
   util::parallel_for(
       misses.size(),
       [&](std::size_t m) {
-        resolved[misses[m]] = resolve_querier(pending[misses[m]], as_db_, geo_db_, resolver_);
+        resolved[misses[m]] = resolve_querier(pending[misses[m]], as_db, geo_db, resolver);
       },
       threads);
   g_resolved_at_close.add(misses.size());
   for (std::size_t i = 0; i < pending.size(); ++i) cache.intern(pending[i], resolved[i]);
   stats.queriers_interned = pending.size();
 
-  // --- 3. Fold the dirty aggregates into the interval normalizer sets.
-  // Aggregates only ever gain queriers, so the seen sets grow
-  // monotonically and rescanning a dirty aggregate is idempotent.
-  as_seen_.resize(cache.as_count() + 1, 0);
-  cc_seen_.resize(cache.cc_count() + 1, 0);
-  for (const OriginatorAggregate* agg : dirty) {
-    for (const auto& [querier, count] : agg->querier_queries) {
+  // --- 3. Interval normalizers: distinct ASes and countries over every
+  // aggregate's queriers, plus the interval's period count.
+  std::vector<std::uint8_t> as_seen(cache.as_count() + 1, 0);
+  std::vector<std::uint8_t> cc_seen(cache.cc_count() + 1, 0);
+  Norms norms;
+  norms.periods = interval.total_periods();
+  for (const auto& [addr, agg] : interval.aggregates()) {
+    for (const auto& [querier, count] : agg.querier_queries) {
       const std::uint32_t qid = cache.id_of(querier);
       const std::uint32_t as = cache.as_id(qid);
-      if (as != 0 && !as_seen_[as]) {
-        as_seen_[as] = 1;
-        ++as_norm_;
+      if (as != 0 && !as_seen[as]) {
+        as_seen[as] = 1;
+        ++norms.as;
       }
       const std::uint32_t cc = cache.cc_id(qid);
-      if (cc != 0 && !cc_seen_[cc]) {
-        cc_seen_[cc] = 1;
-        ++cc_norm_;
+      if (cc != 0 && !cc_seen[cc]) {
+        cc_seen[cc] = 1;
+        ++norms.cc;
       }
     }
   }
-  periods_norm_ = interval.total_periods();
-  const std::uint64_t norm_periods = periods_norm_;
-  const auto norm_as = static_cast<std::uint32_t>(as_norm_);
-  const auto norm_cc = static_cast<std::uint32_t>(cc_norm_);
+  stats.interval_as_count = norms.as;
+  stats.interval_cc_count = norms.cc;
 
   // --- 4. Row phase.  Serial inserts freeze the row map's layout; the
   // per-row reuse decision and any recomputation then run over disjoint
@@ -426,72 +417,54 @@ std::vector<FeatureVector> FeatureEngine::extract(
   std::vector<FeatureVector> out(n);
   const std::size_t slots = threads == 0 ? util::configured_thread_count() : threads;
   const std::size_t chunks = std::clamp<std::size_t>(slots, 1, n == 0 ? 1 : n);
-  if (scratch_.size() < chunks) scratch_.resize(chunks);
   std::vector<FeatureExtractionStats> chunk_stats(chunks);
   util::parallel_for(
       chunks,
       [&](std::size_t c) {
-        Scratch& scratch = scratch_[c];
-        scratch.ensure(cache.s24_count(), cache.as_count(), cache.cc_count());
+        Scratch scratch(cache.s24_count(), cache.as_count(), cache.cc_count());
         FeatureExtractionStats& cs = chunk_stats[c];
         const std::size_t lo = c * n / chunks;
         const std::size_t hi = (c + 1) * n / chunks;
         for (std::size_t i = lo; i < hi; ++i) {
           const OriginatorAggregate& agg = *interesting[i];
           auto& entry = rows.find(agg.originator)->second;
-          const bool norms_match = entry.interval_token != 0 &&
-                                   entry.norm_periods == norm_periods &&
-                                   entry.norm_as == norm_as && entry.norm_cc == norm_cc;
-          bool row_valid;
-          if (entry.interval_token == token_ && entry.mod_count == agg.mod_count) {
-            // Our own stamp vouches for the columns: the aggregate is
-            // untouched since we last flattened it.  The row itself
-            // survives iff the interval normalizers also held still.
-            row_valid = norms_match;
-          } else {
-            // Foreign or stale stamp (another engine shares the cache, or
-            // the aggregate changed): trust nothing, compare the columns.
-            bool same = entry.interval_token != 0 &&
-                        entry.total_queries == agg.total_queries &&
-                        entry.period_count == agg.periods.size() &&
-                        entry.footprint == agg.unique_queriers() &&
-                        entry.qids.size() == agg.querier_queries.size();
-            if (same) {
-              std::size_t m = 0;
-              for (const auto& [querier, count] : agg.querier_queries) {
-                if (entry.qids[m] != cache.id_of(querier) || entry.counts[m] != count) {
-                  same = false;
-                  break;
-                }
-                ++m;
+          bool same = entry.total_queries == agg.total_queries &&
+                      entry.period_count == agg.periods.size() &&
+                      entry.footprint == agg.unique_queriers() &&
+                      entry.qids.size() == agg.querier_queries.size();
+          if (same) {
+            std::size_t m = 0;
+            for (const auto& [querier, count] : agg.querier_queries) {
+              if (entry.qids[m] != cache.id_of(querier) || entry.counts[m] != count) {
+                same = false;
+                break;
               }
+              ++m;
             }
-            if (!same) {
-              entry.qids.clear();
-              entry.counts.clear();
-              entry.qids.reserve(agg.querier_queries.size());
-              entry.counts.reserve(agg.querier_queries.size());
-              for (const auto& [querier, count] : agg.querier_queries) {
-                entry.qids.push_back(cache.id_of(querier));
-                entry.counts.push_back(count);
-              }
-              entry.total_queries = agg.total_queries;
-              entry.period_count = agg.periods.size();
-              entry.footprint = agg.unique_queriers();
-            }
-            row_valid = same && norms_match;
           }
-          if (row_valid) {
+          if (!same) {
+            entry.qids.clear();
+            entry.counts.clear();
+            entry.qids.reserve(agg.querier_queries.size());
+            entry.counts.reserve(agg.querier_queries.size());
+            for (const auto& [querier, count] : agg.querier_queries) {
+              entry.qids.push_back(cache.id_of(querier));
+              entry.counts.push_back(count);
+            }
+            entry.total_queries = agg.total_queries;
+            entry.period_count = agg.periods.size();
+            entry.footprint = agg.unique_queriers();
+          }
+          if (same && entry.norm_periods == norms.periods && entry.norm_as == norms.as &&
+              entry.norm_cc == norms.cc) {
             ++cs.rows_reused;
           } else {
-            entry.row = compute_row(entry, agg.originator, scratch);
+            entry.row = compute_row(cache, entry, agg.originator, norms, scratch);
+            entry.norm_periods = norms.periods;
+            entry.norm_as = norms.as;
+            entry.norm_cc = norms.cc;
             ++cs.rows_recomputed;
           }
-          entry.interval_token = token_;
-          entry.mod_count = agg.mod_count;
-          entry.norm_periods = norm_periods;
-          entry.norm_as = norm_as;
-          entry.norm_cc = norm_cc;
           out[i] = entry.row;
         }
       },
@@ -500,7 +473,6 @@ std::vector<FeatureVector> FeatureEngine::extract(
     stats.rows_reused += cs.rows_reused;
     stats.rows_recomputed += cs.rows_recomputed;
   }
-  if (stats_out != nullptr) *stats_out = stats;
   return out;
 }
 

@@ -1,36 +1,30 @@
-// Columnar + incremental feature extraction (the fast path behind
-// Sensor::extract_features).
-//
-// Two compounding ideas close the gap between ingest throughput and
-// feature throughput:
+// Columnar feature extraction with carry-forward row reuse (the path
+// behind Sensor::extract_features).
 //
 //   * Columnar layout.  A grow-only interner assigns every querier a dense
 //     id and resolves its AS, country, /24, /8 and reverse-name category
-//     exactly once — across *all* extract calls, not once per interval.
-//     Each originator's querier histogram is flattened into two parallel
+//     exactly once, across every window that shares the cache.  Each
+//     originator's querier histogram is flattened into two parallel
 //     arrays (querier ids, query counts), so the entropy / unique-AS /
 //     unique-CC loops become branch-light streaming passes over dense
 //     integer columns with epoch-stamped scratch buffers instead of
 //     per-originator FlatMap/FlatSet churn.
 //
-//   * Incremental recomputation.  Every OriginatorAggregate carries a
-//     mod_count stamp (total records folded in, identical across thread
-//     counts).  The engine remembers the stamp it last extracted each
-//     originator at; an unchanged stamp plus unchanged interval-wide
-//     normalizers (total periods, AS count, country count) means the
-//     cached FeatureVector row is still exact and is returned as-is.
-//     When only the normalizers move, rows recompute from the cached
-//     columns without re-walking the aggregate's flat-map.
+//   * Carry-forward.  The cache keeps each originator's flattened columns
+//     and its last row, with the interval-wide normalizers (total periods,
+//     AS count, country count) the row was computed under.  A window's
+//     sensor is extracted once, when the window closes; each interesting
+//     originator then compares its aggregate with the cache entry:
 //
-// Invalidation rules (proven byte-identical to full recompute by the
-// features-perf oracle tests):
+//   reuse row      same totals, same flattened (qid, count) sequence, same
+//                  normalizers
+//   reuse columns  same columns, moved normalizers: the row recomputes
+//                  from the cached columns
+//   recompute      anything else: re-flatten, then recompute
 //
-//   reuse row      same interval token, same mod_count, same normalizers
-//   reuse columns  same flattened (qid, count) sequence + totals — checked
-//                  by direct comparison when the stamp can't vouch for it
-//                  (different interval token, i.e. another Sensor sharing
-//                  the cache)
-//   recompute      anything else; recompute reads only the columns
+// A never-filled entry holds total_queries 0, which no aggregate has, so
+// it is never reused.  Every path is byte-identical to a fresh cache (the
+// features-perf oracle tests).
 //
 // The cache may be shared across Sensors (analysis::WindowedPipeline does
 // this for consecutive windows) under one assumption: the resolver and
@@ -42,7 +36,7 @@
 // Resolve-ahead.  A shared cache also carries a memo of queriers resolved
 // while their window is still open: analysis::StreamingWindowDriver hands
 // each batch of offered queriers to resolve_ahead() on its close queue, so
-// by the time a window closes, extract() takes memo hits and only interns.
+// by the time a window closes, extraction takes memo hits and only interns.
 // A resolution is a pure function of the querier, and interning keeps its
 // first-seen order, so dense ids, rows and the saved cache are unchanged.
 // The driver drops the memo after every window close, and it is never
@@ -52,7 +46,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -85,7 +78,7 @@ QuerierResolution resolve_querier(net::IPv4Addr querier, const netdb::AsDb& as_d
 
 /// Process-long columnar state: the querier interner plus the per
 /// originator row cache.  Not thread-safe; one extraction or
-/// resolve_ahead() runs at a time (the engine parallelizes internally over
+/// resolve_ahead() runs at a time (extraction parallelizes internally over
 /// frozen state).
 class FeatureExtractionCache {
  public:
@@ -93,9 +86,7 @@ class FeatureExtractionCache {
 
   /// Cached extraction state for one originator.
   struct RowEntry {
-    std::uint64_t interval_token = 0;  ///< 0 = never filled
-    std::uint64_t mod_count = 0;
-    std::uint64_t total_queries = 0;
+    std::uint64_t total_queries = 0;  ///< 0 = never filled
     std::uint64_t period_count = 0;
     /// Unique-querier cardinality (aggregate's unique_queriers() at
     /// flatten time).  Equals qids.size() in exact mode; in sketch mode a
@@ -111,11 +102,6 @@ class FeatureExtractionCache {
     std::vector<std::uint32_t> counts;
     FeatureVector row;
   };
-
-  /// Serial number handed to each FeatureEngine so row entries can tell
-  /// "my engine wrote this" (stamp is trustworthy) from "some other
-  /// engine/interval wrote this" (columns must be compared).
-  std::uint64_t next_interval_token() noexcept { return ++interval_serial_; }
 
   // --- interner: read side (valid for ids < querier_count()) ---
   std::size_t querier_count() const noexcept { return category_.size(); }
@@ -136,7 +122,7 @@ class FeatureExtractionCache {
   std::size_t cc_count() const noexcept { return cc_ids_.size(); }
 
   /// Interns one resolved querier, assigning the next dense id.  Must be
-  /// called in a deterministic order (the engine commits pending queriers
+  /// called in a deterministic order (extraction commits pending queriers
   /// serially, in first-seen order).
   std::uint32_t intern(net::IPv4Addr querier, const QuerierResolution& resolution);
 
@@ -179,68 +165,30 @@ class FeatureExtractionCache {
   util::FlatMap<std::uint16_t, std::uint32_t> cc_ids_;  ///< keyed by packed CC
   util::FlatMap<std::uint32_t, std::uint32_t> s24_ids_;
   util::FlatMap<net::IPv4Addr, RowEntry> rows_;
-  std::uint64_t interval_serial_ = 0;
   util::FlatMap<net::IPv4Addr, QuerierResolution> ahead_;
 };
 
-/// Per-extraction tallies (deterministic: pure functions of the input
-/// stream and extract-call sequence, not of thread count).
+/// Per-extraction tallies (deterministic: pure functions of the window's
+/// records and the cache's prior contents, not of thread count).
 struct FeatureExtractionStats {
   std::uint64_t rows_reused = 0;
   std::uint64_t rows_recomputed = 0;
-  std::uint64_t dirty_originators = 0;
   std::uint64_t queriers_interned = 0;
+  /// Interval-wide normalizers: distinct ASes and countries over the
+  /// queriers of every aggregate in the interval.
+  std::uint64_t interval_as_count = 0;
+  std::uint64_t interval_cc_count = 0;
 };
 
-/// Extraction driver for one Sensor (one measurement interval).  Holds the
-/// interval-local state: which aggregates have been scanned at which
-/// stamp, the interval-wide AS/CC normalizer sets, and the per-worker
-/// epoch scratch buffers.
-class FeatureEngine {
- public:
-  FeatureEngine(const netdb::AsDb& as_db, const netdb::GeoDb& geo_db,
-                const QuerierResolver& resolver,
-                std::shared_ptr<FeatureExtractionCache> cache);
-
-  /// Extracts feature rows for `interesting` (footprint-sorted aggregates
-  /// of `interval`), reusing cached rows where the invalidation rules
-  /// allow.  Byte-identical to a full recompute and to any thread count.
-  std::vector<FeatureVector> extract(const OriginatorAggregator& interval,
-                                     std::span<const OriginatorAggregate* const> interesting,
-                                     std::size_t threads, FeatureExtractionStats* stats);
-
-  /// Interval-wide normalizers after the last extract() (test hooks).
-  std::size_t interval_as_count() const noexcept { return as_norm_; }
-  std::size_t interval_cc_count() const noexcept { return cc_norm_; }
-
- private:
-  /// Epoch-stamped scratch for one worker slot: bucket membership is
-  /// detected by comparing a per-bucket stamp against the current row's
-  /// epoch, so buffers are reused across rows without clearing.
-  struct Scratch {
-    std::vector<std::uint64_t> stamp24, stamp8, stamp_as, stamp_cc;
-    std::vector<std::uint32_t> pos24, pos8;
-    std::vector<std::size_t> counts24, counts8;  ///< first-touch bucket order
-    std::uint64_t epoch = 0;
-
-    void ensure(std::size_t s24_n, std::size_t as_n, std::size_t cc_n);
-  };
-
-  FeatureVector compute_row(const FeatureExtractionCache::RowEntry& entry,
-                            net::IPv4Addr originator, Scratch& scratch) const;
-
-  const netdb::AsDb& as_db_;
-  const netdb::GeoDb& geo_db_;
-  const QuerierResolver& resolver_;
-  std::shared_ptr<FeatureExtractionCache> cache_;
-  std::uint64_t token_;
-  /// Interval normalizer state, grown monotonically as aggregates dirty.
-  std::vector<std::uint8_t> as_seen_, cc_seen_;  ///< indexed by dense id
-  std::size_t as_norm_ = 0, cc_norm_ = 0;
-  std::uint64_t periods_norm_ = 0;
-  /// mod_count each aggregate was last scanned at (normalizer pass).
-  util::FlatMap<net::IPv4Addr, std::uint64_t> scanned_;
-  std::vector<Scratch> scratch_;
-};
+/// Extracts feature rows for `interesting` (footprint-sorted aggregates of
+/// `interval`), interning unseen queriers into `cache` and reusing its rows
+/// where the carry-forward rules above allow.  Byte-identical to a fresh
+/// cache and to any thread count.  The resolver and databases must be the
+/// ones the cache was filled with.
+std::vector<FeatureVector> extract_feature_rows(
+    const OriginatorAggregator& interval,
+    std::span<const OriginatorAggregate* const> interesting, FeatureExtractionCache& cache,
+    const netdb::AsDb& as_db, const netdb::GeoDb& geo_db, const QuerierResolver& resolver,
+    std::size_t threads, FeatureExtractionStats& stats);
 
 }  // namespace dnsbs::core

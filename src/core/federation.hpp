@@ -29,7 +29,8 @@
 namespace dnsbs::core {
 
 inline constexpr std::uint32_t kFederationMagic = 0x53424e44;  // "DNBS" little-endian
-inline constexpr std::uint32_t kFederationVersion = 1;
+/// v2: aggregates no longer carry a modification stamp.
+inline constexpr std::uint32_t kFederationVersion = 2;
 
 /// Canonical shard assignment for an originator: every record of one
 /// originator — hence one dedup (querier, originator) pair — lands in

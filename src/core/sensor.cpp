@@ -25,17 +25,14 @@ util::MetricCounter& g_interesting = util::metrics_counter("dnsbs.sensor.interes
 util::MetricCounter& g_admitted = util::metrics_counter("dnsbs.dedup.admitted");
 util::MetricCounter& g_suppressed = util::metrics_counter("dnsbs.dedup.suppressed");
 util::MetricCounter& g_feature_rows = util::metrics_counter("dnsbs.features.rows");
-// Incremental-extraction telemetry: reused/recomputed partition the
-// extracted rows, dirty_originators counts aggregates rescanned by the
-// engine's stamp check, interner.queriers counts first-sight resolutions.
-// All are pure functions of the input stream and extract-call sequence —
-// deterministic across DNSBS_THREADS.  extract_ns is wall-clock timing
-// (histograms sit outside the deterministic view by construction).
+// Carry-forward telemetry: reused/recomputed partition the extracted rows,
+// interner.queriers counts first-sight resolutions.  All are pure
+// functions of the input stream and extract-call sequence — deterministic
+// across DNSBS_THREADS.  extract_ns is wall-clock timing (histograms sit
+// outside the deterministic view by construction).
 util::MetricCounter& g_rows_reused = util::metrics_counter("dnsbs.features.rows_reused");
 util::MetricCounter& g_rows_recomputed =
     util::metrics_counter("dnsbs.features.rows_recomputed");
-util::MetricCounter& g_dirty_originators =
-    util::metrics_counter("dnsbs.features.dirty_originators");
 util::MetricCounter& g_interned = util::metrics_counter("dnsbs.cache.interner.queriers");
 util::MetricHistogram& g_extract_ns = util::metrics_histogram("dnsbs.features.extract_ns");
 util::MetricCounter& g_predictions = util::metrics_counter("dnsbs.sensor.classified");
@@ -75,11 +72,6 @@ void Sensor::publish_metrics() const {
   if (config_.querier_state == QuerierStateMode::kSketch) {
     g_sketch_bytes.set(static_cast<std::int64_t>(aggregator_.sketch_bytes()));
   }
-}
-
-util::MetricsSnapshot Sensor::snapshot_metrics() const {
-  publish_metrics();
-  return util::metrics_snapshot();
 }
 
 void Sensor::ingest_all(std::span<const dns::QueryRecord> records) {
@@ -168,11 +160,6 @@ bool Sensor::load_state(util::BinaryReader& in) {
   // registry starts from zero and counts only the records it receives.
   published_admitted_ = dedup_.admitted();
   published_suppressed_ = dedup_.suppressed();
-  // Row cache and engine refer to pre-restore state; rebuild lazily.
-  engine_.reset();
-  cached_rows_.clear();
-  rows_cached_ = false;
-  rows_at_mutation_ = 0;
   return true;
 }
 
@@ -186,9 +173,6 @@ void Sensor::merge_from(Sensor&& other) {
   published_suppressed_ += other.published_suppressed_;
   other.published_admitted_ = 0;
   other.published_suppressed_ = 0;
-  cached_rows_.clear();
-  rows_cached_ = false;
-  rows_at_mutation_ = 0;
 }
 
 bool Sensor::merge_state(util::BinaryReader& in) {
@@ -205,42 +189,23 @@ bool Sensor::merge_state(util::BinaryReader& in) {
 
 void Sensor::set_feature_cache(std::shared_ptr<FeatureExtractionCache> cache) {
   feature_cache_ = std::move(cache);
-  engine_.reset();
-  rows_cached_ = false;
 }
 
 std::vector<FeatureVector> Sensor::extract_features() const {
   DNSBS_SPAN("sensor.extract");
   const std::uint64_t t0 = util::metrics_now_ns();
-  // Fast path: nothing was ingested since the last extraction, so the
-  // previous rows are exact (selection, normalizers and every aggregate
-  // are pure functions of the admitted record stream).
-  if (rows_cached_ && aggregator_.mutation_count() == rows_at_mutation_) {
-    g_interesting.add(cached_rows_.size());
-    g_feature_rows.add(cached_rows_.size());
-    g_rows_reused.add(cached_rows_.size());
-    g_extract_ns.record(util::metrics_now_ns() - t0);
-    return cached_rows_;
-  }
   const auto interesting =
       aggregator_.select_interesting(config_.min_queriers, config_.top_n);
   g_interesting.add(interesting.size());
   g_feature_rows.add(interesting.size());
-
-  if (!engine_) {
-    if (!feature_cache_) feature_cache_ = std::make_shared<FeatureExtractionCache>();
-    engine_ = std::make_unique<FeatureEngine>(as_db_, geo_db_, resolver_, feature_cache_);
-  }
   FeatureExtractionStats stats;
-  cached_rows_ = engine_->extract(aggregator_, interesting, config_.threads, &stats);
-  rows_cached_ = true;
-  rows_at_mutation_ = aggregator_.mutation_count();
+  auto rows = extract_feature_rows(aggregator_, interesting, *feature_cache_, as_db_, geo_db_,
+                                   resolver_, config_.threads, stats);
   g_rows_reused.add(stats.rows_reused);
   g_rows_recomputed.add(stats.rows_recomputed);
-  g_dirty_originators.add(stats.dirty_originators);
   g_interned.add(stats.queriers_interned);
   g_extract_ns.record(util::metrics_now_ns() - t0);
-  return cached_rows_;
+  return rows;
 }
 
 std::vector<ClassifiedOriginator> classify_all(std::span<const FeatureVector> features,

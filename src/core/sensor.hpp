@@ -4,7 +4,10 @@
 //
 // One Sensor instance covers one measurement interval at one authority;
 // long-running studies build a Sensor per day/week window (see
-// analysis::IntervalSeries).
+// analysis::WindowedPipeline).  A window's sensor is extracted once, when
+// the window closes; consecutive windows reuse each other's rows through
+// a shared FeatureExtractionCache (feature_engine.hpp), not through state
+// kept in the sensor.
 #pragma once
 
 #include <memory>
@@ -63,26 +66,18 @@ class Sensor {
   void ingest_all(std::span<const dns::QueryRecord> records);
 
   /// Selects interesting originators and computes their feature vectors,
-  /// ordered by footprint descending.  Incremental: repeated calls reuse
-  /// cached rows for originators whose aggregates (and the interval-wide
-  /// normalizers) haven't changed, byte-identical to a full recompute.
-  /// Logically const — the mutable extraction cache is an implementation
-  /// detail invisible in the returned rows.
+  /// ordered by footprint descending.  Rows whose columns and normalizers
+  /// match the feature cache's entry are reused from it (carry-forward),
+  /// byte-identical to a fresh cache.  Logically const: the cache only
+  /// changes which rows are computed, never their bytes.
   std::vector<FeatureVector> extract_features() const;
 
-  /// Installs a shared extraction cache (querier interner + carry-forward
-  /// rows), letting consecutive windows reuse resolved querier identities
-  /// and unchanged rows.  Call before the first extract_features().
-  /// Sharing assumes the resolver and AS/geo databases are stable for the
-  /// cache's lifetime (see feature_engine.hpp).
+  /// Replaces the sensor's own extraction cache with a shared one (querier
+  /// interner + carry-forward rows), letting consecutive windows reuse
+  /// resolved querier identities and unchanged rows.  Sharing assumes the
+  /// resolver and AS/geo databases are stable for the cache's lifetime
+  /// (see feature_engine.hpp).
   void set_feature_cache(std::shared_ptr<FeatureExtractionCache> cache);
-
-  /// Publishes this sensor's pending tallies (dedup admitted/suppressed,
-  /// aggregate gauges) to the process-wide registry, then snapshots it.
-  /// The per-record ingest path deliberately never touches the registry —
-  /// counts are reconciled here and at the end of ingest_all — so the
-  /// snapshot is current as of the call, at zero hot-path cost.
-  util::MetricsSnapshot snapshot_metrics() const;
 
   const OriginatorAggregator& aggregator() const noexcept { return aggregator_; }
   const Deduplicator& dedup() const noexcept { return dedup_; }
@@ -98,9 +93,8 @@ class Sensor {
   /// Restores dedup + aggregator state.  The published watermarks are set
   /// to the restored tallies: the saving process already published those
   /// counts, and the restoring process's registry counts only records it
-  /// receives itself (counters reset on restart).  Resets
-  /// the lazily-built engine so the next extract_features() stamps a fresh
-  /// interval token.  Returns false on config mismatch or corrupt stream.
+  /// receives itself (counters reset on restart).  Returns false on config
+  /// mismatch or corrupt stream.
   bool load_state(util::BinaryReader& in);
 
   /// Federation: folds another sensor's window state (same config) into
@@ -108,8 +102,6 @@ class Sensor {
   /// `--shards` split) the result is byte-identical to one sensor having
   /// ingested the whole stream; for overlapping sources (per-authority
   /// splits) exact mode is content-lossless and sketch mode bounded-error.
-  /// Invalidates cached feature rows; the next extract_features() sees the
-  /// merged state.
   void merge_from(Sensor&& other);
 
   /// Reads a save_state() stream produced by a sensor with the same
@@ -125,10 +117,11 @@ class Sensor {
     dedup_.reserve(dedup_.state_size() + extra_dedup_pairs);
   }
 
-  /// Pushes tallies accumulated since the last publish into the registry
-  /// (idempotent; const because snapshot_metrics() is a read operation
-  /// from the caller's perspective).  Public so the streaming driver can
-  /// reconcile counts at window close without taking a full snapshot.
+  /// Pushes tallies accumulated since the last publish (dedup
+  /// admitted/suppressed, aggregate gauges) into the registry.  The
+  /// per-record ingest path never touches the registry; counts are
+  /// reconciled here, at the end of ingest_all and at save_state.
+  /// Idempotent, and const so read-only holders can reconcile.
   void publish_metrics() const;
 
  private:
@@ -140,13 +133,8 @@ class Sensor {
   OriginatorAggregator aggregator_;
   mutable std::uint64_t published_admitted_ = 0;
   mutable std::uint64_t published_suppressed_ = 0;
-  // Incremental extraction state (lazily created; mutable because
-  // extract_features() is logically const).
-  mutable std::shared_ptr<FeatureExtractionCache> feature_cache_;
-  mutable std::unique_ptr<FeatureEngine> engine_;
-  mutable std::vector<FeatureVector> cached_rows_;
-  mutable std::uint64_t rows_at_mutation_ = 0;
-  mutable bool rows_cached_ = false;
+  std::shared_ptr<FeatureExtractionCache> feature_cache_ =
+      std::make_shared<FeatureExtractionCache>();
 };
 
 /// A feature vector plus the model's verdict.

@@ -124,12 +124,6 @@ bool ServeDaemon::start(std::string& error) {
       error = "checkpoint restore failed: " + config_.checkpoint_path;
       return false;
     }
-    // The previous incarnation already wrote summaries for every window it
-    // closed; windows_out is append-mode, so pick up where it stopped.
-    {
-      std::lock_guard<std::mutex> lock(summary_mutex_);
-      sequencer_.reset(driver_->windows_closed());
-    }
     util::log_info("serve",
                    util::format("restored checkpoint %s: %llu windows closed, "
                                 "%zu open, stream_time=%lld",
@@ -483,7 +477,7 @@ bool ServeDaemon::write_checkpoint(std::string& why) {
     return false;
   }
   // A restore assumes summaries for every closed window are already on
-  // disk (the sequencer resumes at windows_closed); make that true before
+  // disk (numbering resumes at windows_closed); make that true before
   // the checkpoint can land.  driver_->save() below quiesces close+train.
   quiesce_pipeline();
   const std::string tmp = config_.checkpoint_path + ".tmp";
@@ -574,24 +568,18 @@ void ServeDaemon::on_window_close(const analysis::WindowResult& result,
   // Rendering (hexfloat formatting dominates) runs here, on the closing
   // thread: a close-queue worker in async mode, off the intake path.
   std::string block = render_window_summary(result, observation);
-  std::vector<std::string> ready;
-  {
-    std::lock_guard<std::mutex> lock(summary_mutex_);
-    ready = sequencer_.push(result.index, std::move(block));
-  }
-  if (ready.empty()) return;
-  // File appends ride the serial export queue; blocks leave the (also
-  // serial) close queue in window order, so appends land in order too.
-  jobs_->submit(export_queue_, [this, blocks = std::move(ready)] {
-    append_summaries(blocks);
-  });
+  // File appends ride the serial export queue.  Blocks leave the (also
+  // serial) close queue in window order, and a restore resumes numbering
+  // where the previous incarnation's windows_out stopped, so appends land
+  // in window order.
+  jobs_->submit(export_queue_, [this, block = std::move(block)] { append_summary(block); });
   // Sync mode: the summary is on disk before offer() returns.
   if (!config_.streaming.async_windows) jobs_->drain(export_queue_);
 }
 
-void ServeDaemon::append_summaries(const std::vector<std::string>& blocks) {
+void ServeDaemon::append_summary(const std::string& block) {
   std::ofstream out(config_.windows_out, std::ios::app);
-  for (const std::string& block : blocks) out << block;
+  out << block;
 }
 
 }  // namespace dnsbs::serve

@@ -58,7 +58,6 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -79,43 +78,6 @@ namespace dnsbs::serve {
 /// bytes.
 std::string render_window_summary(const analysis::WindowResult& result,
                                   const labeling::WindowObservation& observation);
-
-/// Re-sequences rendered summary blocks by absolute window index so the
-/// --windows-out file is always in window order.  The close queue is
-/// FIFO-serial, so blocks normally arrive already ordered — this class
-/// *encodes* that invariant (and would ride out a future concurrent close
-/// path): push() buffers out-of-order blocks and releases the contiguous
-/// run starting at the next expected index.  Not thread-safe; the daemon
-/// guards it with a mutex.
-class WindowSummarySequencer {
- public:
-  /// Discards buffered blocks and sets the next expected index (used at
-  /// checkpoint restore: summaries for windows [0, next) already exist).
-  void reset(std::uint64_t next_index) {
-    next_ = next_index;
-    pending_.clear();
-  }
-  /// Offers one block; returns the blocks now contiguous from the expected
-  /// index, in window order (often just this block; empty when a gap
-  /// precedes it).  A block older than the expected index is dropped — its
-  /// window was already exported (checkpoint replay overlap).
-  std::vector<std::string> push(std::uint64_t index, std::string block) {
-    std::vector<std::string> ready;
-    if (index < next_) return ready;
-    pending_.emplace(index, std::move(block));
-    for (auto it = pending_.begin(); it != pending_.end() && it->first == next_;
-         it = pending_.erase(it), ++next_) {
-      ready.push_back(std::move(it->second));
-    }
-    return ready;
-  }
-  std::uint64_t next_index() const noexcept { return next_; }
-  std::size_t buffered() const noexcept { return pending_.size(); }
-
- private:
-  std::uint64_t next_ = 0;
-  std::map<std::uint64_t, std::string> pending_;
-};
 
 struct ServeConfig {
   std::string bind = "127.0.0.1";
@@ -195,7 +157,7 @@ class ServeDaemon {
   /// --windows-out via the export queue (drained at once in sync mode).
   void on_window_close(const analysis::WindowResult& result,
                        const labeling::WindowObservation& observation);
-  void append_summaries(const std::vector<std::string>& blocks);
+  void append_summary(const std::string& block);
   /// Barrier: close + export work all landed (STATS/HISTORY/FLUSH/
   /// CHECKPOINT and loop exit run behind it).
   void quiesce_pipeline();
@@ -233,10 +195,6 @@ class ServeDaemon {
   bool started_ = false;
 
   dns::CaptureStats capture_stats_;
-  /// Summary ordering state; on_window_close may run on a job worker, so
-  /// access goes through summary_mutex_.
-  std::mutex summary_mutex_;
-  WindowSummarySequencer sequencer_;
   std::int64_t next_cadence_checkpoint_ = 0;
   // TRACE capture state; drive-thread only (handle_control runs there).
   bool trace_active_ = false;

@@ -125,8 +125,10 @@ TEST(StaticFeatureExtraction, FractionsSumToOne) {
   const netdb::AsDb as_db;
   const netdb::GeoDb geo_db;
   const StubResolver resolver;
-  FeatureEngine engine(as_db, geo_db, resolver, std::make_shared<FeatureExtractionCache>());
-  const auto rows = engine.extract(agg, agg.select_interesting(1, 0), 1, nullptr);
+  FeatureExtractionCache cache;
+  FeatureExtractionStats stats;
+  const auto rows = extract_feature_rows(agg, agg.select_interesting(1, 0), cache, as_db,
+                                         geo_db, resolver, 1, stats);
   ASSERT_EQ(rows.size(), 1u);
   const StaticFeatures& f = rows[0].statics;
   double sum = 0;
@@ -153,10 +155,12 @@ TEST(DynamicFeatureExtraction, EntropyAndNormalizers) {
   agg.add(rec(2, "10.1.7.1", "1.1.1.1"));
 
   const StubResolver resolver;
-  FeatureEngine engine(as_db, geo_db, resolver, std::make_shared<FeatureExtractionCache>());
-  const auto rows = engine.extract(agg, agg.select_interesting(1, 0), 1, nullptr);
-  EXPECT_EQ(engine.interval_as_count(), 2u);
-  EXPECT_EQ(engine.interval_cc_count(), 2u);
+  FeatureExtractionCache cache;
+  FeatureExtractionStats stats;
+  const auto rows = extract_feature_rows(agg, agg.select_interesting(1, 0), cache, as_db,
+                                         geo_db, resolver, 1, stats);
+  EXPECT_EQ(stats.interval_as_count, 2u);
+  EXPECT_EQ(stats.interval_cc_count, 2u);
 
   ASSERT_EQ(rows.size(), 1u);
   const DynamicFeatures& f = rows[0].dynamics;

@@ -198,8 +198,10 @@ TEST_P(StaticFractionProperty, SumToOneForAnyQuerierMix) {
   }
   const netdb::AsDb as_db;
   const netdb::GeoDb geo_db;
-  FeatureEngine engine(as_db, geo_db, resolver, std::make_shared<FeatureExtractionCache>());
-  const auto rows = engine.extract(agg, agg.select_interesting(1, 0), 1, nullptr);
+  FeatureExtractionCache cache;
+  FeatureExtractionStats stats;
+  const auto rows = extract_feature_rows(agg, agg.select_interesting(1, 0), cache, as_db,
+                                         geo_db, resolver, 1, stats);
   ASSERT_EQ(rows.size(), 1u);
   const StaticFeatures& f = rows[0].statics;
   double sum = 0;

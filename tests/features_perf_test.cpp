@@ -1,13 +1,16 @@
-// Columnar + incremental feature extraction (core::FeatureEngine): the
-// incremental-vs-full-recompute oracle, SoA-vs-map equivalence for all
-// eight dynamic features, epoch-scratch reuse, carry-forward across
-// sensors and windows, and thread-count determinism of the
-// dnsbs.features.* counters.
+// Columnar feature extraction with carry-forward (core::
+// extract_feature_rows): windows on a shared cache against fresh sensors,
+// SoA-vs-map equivalence for all eight dynamic features, epoch-scratch
+// reuse, the reuse/recompute counters per window, and thread-count
+// determinism of the dnsbs.features.* counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/pipeline.hpp"
@@ -135,31 +138,53 @@ SensorConfig small_config() {
   return cfg;
 }
 
+/// Record sets of consecutive windows, in the shape the daemon runs them:
+/// each window is a fresh sensor over its own records, on one shared cache.
+/// Window 1 repeats window 0.  Window 2 adds pure churn: originator 5 gains
+/// two queriers in an already-counted AS, country and period.  Window 3
+/// adds wave 1, which shifts every normalizer.  Window 4 adds wave 2,
+/// pure churn again.
+std::vector<std::vector<QueryRecord>> window_records() {
+  const std::vector<QueryRecord> churn = {rec(400, addr(10, 0, 1, 40), addr(1, 0, 0, 5)),
+                                          rec(401, addr(10, 0, 1, 41), addr(1, 0, 0, 5))};
+  std::vector<std::vector<QueryRecord>> windows;
+  std::vector<QueryRecord> records = wave(0);
+  windows.push_back(records);
+  windows.push_back(records);
+  records.insert(records.end(), churn.begin(), churn.end());
+  windows.push_back(records);
+  for (const auto& r : wave(1)) records.push_back(r);
+  windows.push_back(records);
+  for (const auto& r : wave(2)) records.push_back(r);
+  windows.push_back(records);
+  return windows;
+}
+
+/// Extracts one window the way the daemon does: a fresh sensor on the
+/// shared cache, extracted once.
+std::vector<FeatureVector> extract_window(const std::vector<QueryRecord>& records,
+                                          const std::shared_ptr<FeatureExtractionCache>& cache,
+                                          const Dbs& dbs, const QuerierResolver& resolver,
+                                          SensorConfig config = small_config()) {
+  Sensor sensor(config, dbs.as_db, dbs.geo_db, resolver);
+  sensor.set_feature_cache(cache);
+  for (const auto& r : records) sensor.ingest(r);
+  return sensor.extract_features();
+}
+
 TEST(FeatureEngineOracle, IncrementalMatchesFullRecomputeAcrossWaves) {
   const Dbs dbs;
   const CyclingResolver resolver;
 
-  // The incremental sensor extracts after every wave (and twice in a row,
-  // exercising the unchanged-interval fast path); the oracle is a fresh
-  // sensor over the concatenated stream, recomputing everything.
-  Sensor incremental(small_config(), dbs.as_db, dbs.geo_db, resolver);
-  std::vector<QueryRecord> all_so_far;
-  for (int w = 0; w < 3; ++w) {
-    const auto records = wave(w);
-    for (const auto& r : records) {
-      incremental.ingest(r);
-      all_so_far.push_back(r);
-    }
-    const auto rows = incremental.extract_features();
-    const auto rows_again = incremental.extract_features();
-
+  // Every window's rows, taken through the shared cache's reuse rules,
+  // match an independent sensor with a fresh cache bit for bit.
+  const auto cache = std::make_shared<FeatureExtractionCache>();
+  const auto windows = window_records();
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const auto rows = extract_window(windows[w], cache, dbs, resolver);
     Sensor oracle(small_config(), dbs.as_db, dbs.geo_db, resolver);
-    oracle.ingest_all(all_so_far);
-    const auto full = oracle.extract_features();
-
-    const std::string context = "wave " + std::to_string(w);
-    expect_rows_bitwise_equal(rows, full, context);
-    expect_rows_bitwise_equal(rows_again, full, context + " (fast path)");
+    oracle.ingest_all(windows[w]);
+    expect_rows_bitwise_equal(rows, oracle.extract_features(), "window " + std::to_string(w));
   }
 }
 
@@ -174,18 +199,18 @@ TEST(FeatureEngineEquivalence, SoAColumnsMatchMapReference) {
   const auto interesting = agg.select_interesting(3, 0);
   ASSERT_FALSE(interesting.empty());
 
-  FeatureEngine engine(dbs.as_db, dbs.geo_db, resolver,
-                       std::make_shared<FeatureExtractionCache>());
+  FeatureExtractionCache cache;
   FeatureExtractionStats stats;
-  const auto rows = engine.extract(agg, interesting, 1, &stats);
+  const auto rows = extract_feature_rows(agg, interesting, cache, dbs.as_db, dbs.geo_db,
+                                         resolver, 1, stats);
   ASSERT_EQ(rows.size(), interesting.size());
   EXPECT_EQ(stats.rows_recomputed, rows.size());
   EXPECT_EQ(stats.rows_reused, 0u);
 
   const reference::IntervalCounts norms =
       reference::interval_counts(agg, dbs.as_db, dbs.geo_db);
-  EXPECT_EQ(engine.interval_as_count(), norms.as_count);
-  EXPECT_EQ(engine.interval_cc_count(), norms.cc_count);
+  EXPECT_EQ(stats.interval_as_count, norms.as_count);
+  EXPECT_EQ(stats.interval_cc_count, norms.cc_count);
 
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const OriginatorAggregate& a = *interesting[i];
@@ -207,31 +232,33 @@ TEST(FeatureEngineScratch, EpochReuseSurvivesForcedRecomputes) {
   const Dbs dbs;
   const CyclingResolver resolver;
 
-  // One engine extracts three times over a growing aggregator: every
-  // extract recomputes rows with the *same* scratch buffers (overlapping
-  // /24 and AS universes across rows), so a stale stamp leaking across
-  // rows or epochs would corrupt counts.  A fresh sensor per step is the
+  // The normalizer-shift window recomputes every row on one worker, so
+  // all rows share one epoch-stamped scratch buffer across overlapping /24
+  // and AS universes: a stale stamp leaking from row to row would corrupt
+  // counts.  The reference extractor, which keeps no scratch, is the
   // oracle.
-  Sensor sensor(small_config(), dbs.as_db, dbs.geo_db, resolver);
-  std::vector<QueryRecord> all_so_far;
-  for (int w = 0; w < 3; ++w) {
-    for (const auto& r : wave(w)) {
-      sensor.ingest(r);
-      all_so_far.push_back(r);
-    }
+  const auto cache = std::make_shared<FeatureExtractionCache>();
+  const auto windows = window_records();
+  SensorConfig config = small_config();
+  config.threads = 1;
+  for (std::size_t w = 0; w < 3; ++w) (void)extract_window(windows[w], cache, dbs, resolver);
+  const auto rows = extract_window(windows[3], cache, dbs, resolver, config);
+
+  OriginatorAggregator agg;
+  for (const auto& r : windows[3]) agg.add(r);
+  const auto interesting = agg.select_interesting(config.min_queriers, config.top_n);
+  const reference::IntervalCounts norms =
+      reference::interval_counts(agg, dbs.as_db, dbs.geo_db);
+  ASSERT_EQ(rows.size(), interesting.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const OriginatorAggregate& a = *interesting[i];
+    EXPECT_EQ(rows[i].originator, a.originator) << "row " << i;
+    EXPECT_EQ(rows[i].statics, reference::static_features(a, resolver)) << "row " << i;
+    EXPECT_EQ(rows[i].dynamics,
+              reference::dynamic_features(a, dbs.as_db, dbs.geo_db, agg.total_periods(),
+                                          norms.as_count, norms.cc_count))
+        << "row " << i;
   }
-  (void)sensor.extract_features();
-
-  // Shift a normalizer (new period bucket) via a single originator: every
-  // cached row is invalidated and recomputed through the reused scratch.
-  const QueryRecord shift = rec(9000, addr(10, 0, 1, 1), addr(1, 0, 0, 1));
-  sensor.ingest(shift);
-  all_so_far.push_back(shift);
-  const auto rows = sensor.extract_features();
-
-  Sensor oracle(small_config(), dbs.as_db, dbs.geo_db, resolver);
-  oracle.ingest_all(all_so_far);
-  expect_rows_bitwise_equal(rows, oracle.extract_features(), "post-shift");
 }
 
 TEST(FeatureEngineCounters, ChurnAndNormalizerShiftsPartitionRows) {
@@ -240,57 +267,55 @@ TEST(FeatureEngineCounters, ChurnAndNormalizerShiftsPartitionRows) {
 #else
   const Dbs dbs;
   const CyclingResolver resolver;
-  Sensor sensor(small_config(), dbs.as_db, dbs.geo_db, resolver);
-  for (const auto& r : wave(0)) sensor.ingest(r);
-
   const auto counters = [] {
     const auto s = util::metrics_snapshot();
-    struct Vals {
-      std::int64_t reused, recomputed, dirty;
-    };
-    return Vals{s.scalar("dnsbs.features.rows_reused"),
-                s.scalar("dnsbs.features.rows_recomputed"),
-                s.scalar("dnsbs.features.dirty_originators")};
+    return std::pair{s.scalar("dnsbs.features.rows_reused"),
+                     s.scalar("dnsbs.features.rows_recomputed")};
   };
 
-  const auto before = counters();
-  const std::size_t n = sensor.extract_features().size();
-  ASSERT_EQ(n, 12u);
-  auto after = counters();
-  EXPECT_EQ(after.recomputed - before.recomputed, static_cast<std::int64_t>(n));
-  EXPECT_EQ(after.reused - before.reused, 0);
-  EXPECT_EQ(after.dirty - before.dirty, 12);
-
-  // Unchanged sensor: the fast path reuses every row, touching nothing.
-  auto prev = after;
-  (void)sensor.extract_features();
-  after = counters();
-  EXPECT_EQ(after.reused - prev.reused, static_cast<std::int64_t>(n));
-  EXPECT_EQ(after.recomputed - prev.recomputed, 0);
-  EXPECT_EQ(after.dirty - prev.dirty, 0);
-
-  // Pure churn: one originator gains queriers in an already-counted /16
-  // (same AS/CC) within an already-seen period bucket, so only its row
-  // recomputes — the normalizers (periods, AS, CC) are unchanged.
-  sensor.ingest(rec(400, addr(10, 0, 1, 40), addr(1, 0, 0, 5)));
-  sensor.ingest(rec(401, addr(10, 0, 1, 41), addr(1, 0, 0, 5)));
-  prev = after;
-  (void)sensor.extract_features();
-  after = counters();
-  EXPECT_EQ(after.dirty - prev.dirty, 1);
-  EXPECT_EQ(after.recomputed - prev.recomputed, 1);
-  EXPECT_EQ(after.reused - prev.reused, static_cast<std::int64_t>(n) - 1);
-
-  // Normalizer shift (wave 1: new AS, country and periods): only the
-  // churned originators are dirty, but every row must recompute.
-  for (const auto& r : wave(1)) sensor.ingest(r);
-  prev = after;
-  (void)sensor.extract_features();
-  after = counters();
-  EXPECT_EQ(after.dirty - prev.dirty, 4);
-  EXPECT_EQ(after.recomputed - prev.recomputed, static_cast<std::int64_t>(n));
-  EXPECT_EQ(after.reused - prev.reused, 0);
+  // (reused, recomputed) per window of window_records(): a cold cache
+  // computes every row; a repeated window reuses every row; pure churn
+  // recomputes only the churned originator; a normalizer shift recomputes
+  // every row.
+  const std::pair<std::int64_t, std::int64_t> want[] = {
+      {0, 12}, {12, 0}, {11, 1}, {0, 12}, {11, 1}};
+  const auto cache = std::make_shared<FeatureExtractionCache>();
+  const auto windows = window_records();
+  ASSERT_EQ(windows.size(), std::size(want));
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const auto before = counters();
+    ASSERT_EQ(extract_window(windows[w], cache, dbs, resolver).size(), 12u);
+    const auto after = counters();
+    EXPECT_EQ(after.first - before.first, want[w].first) << "window " << w;
+    EXPECT_EQ(after.second - before.second, want[w].second) << "window " << w;
+  }
 #endif
+}
+
+TEST(FeatureEngineCarryForward, DefaultRowEntryIsNeverReused) {
+  // A never-filled entry (total_queries 0) already sits in the cache for
+  // every interesting originator: none of them may take it as a match.
+  const Dbs dbs;
+  const CyclingResolver resolver;
+  OriginatorAggregator agg;
+  for (const auto& r : wave(0)) agg.add(r);
+  const auto interesting = agg.select_interesting(3, 0);
+  ASSERT_FALSE(interesting.empty());
+
+  FeatureExtractionCache seeded;
+  for (const OriginatorAggregate* a : interesting) seeded.rows().try_emplace(a->originator);
+  FeatureExtractionStats stats;
+  const auto rows = extract_feature_rows(agg, interesting, seeded, dbs.as_db, dbs.geo_db,
+                                         resolver, 1, stats);
+  EXPECT_EQ(stats.rows_reused, 0u);
+  EXPECT_EQ(stats.rows_recomputed, interesting.size());
+
+  FeatureExtractionCache fresh;
+  FeatureExtractionStats fresh_stats;
+  expect_rows_bitwise_equal(rows,
+                            extract_feature_rows(agg, interesting, fresh, dbs.as_db,
+                                                 dbs.geo_db, resolver, 1, fresh_stats),
+                            "seeded vs fresh cache");
 }
 
 TEST(FeatureEngineCarryForward, SharedCacheReusesRowsAcrossSensors) {
@@ -307,9 +332,8 @@ TEST(FeatureEngineCarryForward, SharedCacheReusesRowsAcrossSensors) {
   first.ingest_all(records);
   const auto rows_first = first.extract_features();
 
-  // A second sensor over the same stream shares the cache: its engine has
-  // a different interval token, so reuse must go through the
-  // column-comparison path — and still match bitwise.
+  // A second sensor over the same stream shares the cache: every row is
+  // reused through the column comparison, and still matches bitwise.
   Sensor second(small_config(), dbs.as_db, dbs.geo_db, resolver);
   second.set_feature_cache(cache);
   second.ingest_all(records);
@@ -367,21 +391,18 @@ TEST(FeatureEngineDeterminism, CountersMatchSerialAcrossThreadCounts) {
   const auto run_with = [&](std::size_t threads) {
     util::set_thread_count(threads);
     util::metrics_reset();
-    SensorConfig cfg = small_config();
-    cfg.threads = threads;
-    Sensor sensor(cfg, dbs.as_db, dbs.geo_db, resolver);
-    for (int w = 0; w < 3; ++w) {
-      for (const auto& r : wave(w)) sensor.ingest(r);
-      (void)sensor.extract_features();
+    SensorConfig config = small_config();
+    config.threads = threads;
+    const auto cache = std::make_shared<FeatureExtractionCache>();
+    for (const auto& records : window_records()) {
+      (void)extract_window(records, cache, dbs, resolver, config);
     }
-    (void)sensor.extract_features();
     return util::metrics_snapshot().deterministic_view();
   };
 
   const util::MetricsSnapshot serial = run_with(1);
   EXPECT_GT(serial.scalar("dnsbs.features.rows_reused"), 0);
   EXPECT_GT(serial.scalar("dnsbs.features.rows_recomputed"), 0);
-  EXPECT_GT(serial.scalar("dnsbs.features.dirty_originators"), 0);
   EXPECT_GT(serial.scalar("dnsbs.cache.interner.queriers"), 0);
 
   for (const std::size_t threads : {2, 4}) {
@@ -429,7 +450,6 @@ TEST(FeatureExtractionCacheLoad, ClaimedLengthsBeyondTheStreamFailCleanly) {
   const auto truncated = [](bool claim_in_row) {
     std::stringstream bytes;
     util::BinaryWriter out(bytes);
-    out.u64(0);  // interval serial
     out.u64(0);  // querier-id map: capacity, size
     out.u64(0);
     if (!claim_in_row) {
@@ -452,7 +472,7 @@ TEST(FeatureExtractionCacheLoad, ClaimedLengthsBeyondTheStreamFailCleanly) {
     out.u64(1);
     out.u64(3);  // slot
     out.u32(addr(192, 0, 2, 1).value());
-    for (int i = 0; i < 6; ++i) out.u64(1);  // token .. norm_periods
+    for (int i = 0; i < 4; ++i) out.u64(1);  // total_queries .. norm_periods
     out.u32(1);  // norm_as
     out.u32(1);  // norm_cc
     out.u64(std::uint64_t{1} << 30);  // qids length, then two ids and EOF
@@ -485,7 +505,7 @@ void write_u32(std::string& image, std::size_t offset, std::uint32_t v) {
 
 TEST(FeatureExtractionCacheLoad, InternedIdsOutOfRangeAreRejected) {
   // A cache filled by one real extraction; each case patches one interned
-  // id in its saved image to just past its interner's range.  extract()
+  // id in its saved image to just past its interner's range.  Extraction
   // indexes columns and scratch by these ids, so load must refuse them.
   const Dbs dbs;
   const CyclingResolver resolver;
@@ -506,11 +526,11 @@ TEST(FeatureExtractionCacheLoad, InternedIdsOutOfRangeAreRejected) {
   cache->save(out);
   const std::string image = bytes.str();
 
-  // Offsets follow FeatureExtractionCache::save: a serial, then each id
-  // map as (capacity, size, size x (slot u64, key, id u32)), the querier
-  // columns as (count, count x (as, cc, s24 u32, s8, category u8)), and
-  // the row map, whose entries hold 76 bytes before their qid column.
-  const std::size_t qid_map = 8;
+  // Offsets follow FeatureExtractionCache::save: each id map as
+  // (capacity, size, size x (slot u64, key, id u32)), the querier columns
+  // as (count, count x (as, cc, s24 u32, s8, category u8)), and the row
+  // map, whose entries hold 60 bytes before their qid column.
+  const std::size_t qid_map = 0;
   const std::size_t columns = qid_map + 16 + 16 * std::size_t{queriers};
   const std::size_t as_map = columns + 8 + 14 * std::size_t{queriers};
   const std::size_t cc_map = as_map + 16 + 16 * std::size_t{ases};
@@ -521,7 +541,7 @@ TEST(FeatureExtractionCacheLoad, InternedIdsOutOfRangeAreRejected) {
   const std::size_t first_as = as_map + 16 + 12;
   const std::size_t first_cc = cc_map + 16 + 10;
   const std::size_t first_s24 = s24_map + 16 + 12;
-  const std::size_t first_row_qid = rows + 16 + 76;
+  const std::size_t first_row_qid = rows + 16 + 60;
   // The layout arithmetic lands on the fields it means to patch.
   ASSERT_EQ(cache->id_of(IPv4Addr{read_u32(image, first_qid - 4)}),
             read_u32(image, first_qid));

@@ -201,6 +201,30 @@ TEST_F(FederationTest, ImportRefusesMismatchedConfigAndCorruptStreams) {
   }
 }
 
+TEST_F(FederationTest, ImportRefusesOlderFormatVersion) {
+  // Version 1 images carried a per-aggregate modification stamp; reading
+  // one as the current layout would misparse every aggregate after it.
+  core::Sensor exporter = single_sensor_run(core::SensorConfig{});
+  std::ostringstream out;
+  util::BinaryWriter writer(out);
+  core::export_sensor_state(exporter, writer);
+  std::string blob = out.str();
+  ASSERT_GT(blob.size(), 8u);
+  {  // The unpatched image imports.
+    core::Sensor coordinator = make_sensor(core::SensorConfig{});
+    std::istringstream in(blob);
+    util::BinaryReader reader(in);
+    ASSERT_TRUE(core::import_sensor_state(reader, coordinator));
+  }
+  blob[4] = 1;  // u32 LE version right after the 4-byte magic
+  blob[5] = blob[6] = blob[7] = 0;
+  core::Sensor coordinator = make_sensor(core::SensorConfig{});
+  std::istringstream in(blob);
+  util::BinaryReader reader(in);
+  EXPECT_FALSE(core::import_sensor_state(reader, coordinator));
+  EXPECT_EQ(coordinator.aggregator().originator_count(), 0u);
+}
+
 TEST_F(FederationTest, OverlappingExactMergeIsContentLossless) {
   // Per-authority federation: both sensors see an overlapping slice of the
   // stream.  Exact mode must end with the union querier set per

@@ -664,18 +664,19 @@ TEST(StreamingDriver, RestoreRejectsMismatchedConfig) {
     std::stringstream garbage("not a checkpoint at all");
     EXPECT_FALSE(driver.restore(garbage));
   }
-  {
-    // An image from an older format (version 3 carried registry
-    // snapshots) is refused, not misread.
+  // Images from older formats are refused, not misread: version 3 carried
+  // registry snapshots, version 4 per-aggregate and per-row modification
+  // stamps.
+  for (const char version : {3, 4}) {
     std::string image = checkpoint.str();
     ASSERT_GT(image.size(), 12u);
-    image[8] = 3;  // u32 LE version right after the 8-byte magic
+    image[8] = version;  // u32 LE version right after the 8-byte magic
     image[9] = image[10] = image[11] = 0;
     analysis::WindowedPipeline pipeline(pipeline_config(), dbs.as_db, dbs.geo_db,
                                         resolver);
     analysis::StreamingWindowDriver driver(sc, pipeline, dbs.as_db, dbs.geo_db, resolver);
     std::istringstream old_version(image);
-    EXPECT_FALSE(driver.restore(old_version));
+    EXPECT_FALSE(driver.restore(old_version)) << "version " << int{version};
   }
 }
 
@@ -883,31 +884,6 @@ TEST(StreamingDriver, HistoryAndWindowsIdenticalAcrossThreadCounts) {
 }
 
 // ---- async window pipeline vs sync (oracle) ----------------------------
-
-TEST(WindowSummarySequencer, ReleasesContiguousRunsInOrder) {
-  serve::WindowSummarySequencer seq;
-  EXPECT_TRUE(seq.push(1, "b").empty()) << "gap at 0 must buffer";
-  EXPECT_TRUE(seq.push(3, "d").empty());
-  EXPECT_EQ(seq.buffered(), 2u);
-  // Index 0 arrives: 0 and the buffered 1 release together; 3 still waits.
-  const auto run = seq.push(0, "a");
-  ASSERT_EQ(run.size(), 2u);
-  EXPECT_EQ(run[0], "a");
-  EXPECT_EQ(run[1], "b");
-  EXPECT_EQ(seq.next_index(), 2u);
-  const auto rest = seq.push(2, "c");
-  ASSERT_EQ(rest.size(), 2u);
-  EXPECT_EQ(rest[0], "c");
-  EXPECT_EQ(rest[1], "d");
-  EXPECT_EQ(seq.buffered(), 0u);
-  // Duplicates of already-released indices are dropped (checkpoint replay
-  // overlap), and reset() re-bases after a restore.
-  EXPECT_TRUE(seq.push(1, "stale").empty());
-  EXPECT_EQ(seq.next_index(), 4u);
-  seq.reset(7);
-  EXPECT_EQ(seq.next_index(), 7u);
-  ASSERT_EQ(seq.push(7, "h").size(), 1u);
-}
 
 struct StreamRun {
   std::vector<std::string> windows;  ///< rendered with window stats

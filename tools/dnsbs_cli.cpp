@@ -509,7 +509,8 @@ int cmd_stats(const cli::Options& opt) {
   const auto features = sensor.extract_features();
   std::fprintf(stderr, "%zu interesting originators\n", features.size());
 
-  print_metrics_table(sensor.snapshot_metrics());
+  sensor.publish_metrics();
+  print_metrics_table(util::metrics_snapshot());
   return 0;
 }
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/sensor.hpp"
+#include "dns/capture.hpp"
 #include "ml/forest.hpp"
 #include "net/prefix_trie.hpp"
 #include "sim/scenario.hpp"
@@ -84,6 +85,31 @@ void BM_WireDecodeMutated(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WireDecodeMutated);
+
+void BM_RecordFromPacket(benchmark::State& state) {
+  // The capture classifier the daemon runs per packet, over the same
+  // corpus as the decode benches: clean PTR queries (arg 0) or the
+  // BM_WireDecodeMutated corpus (arg 1).
+  const bool mutated = state.range(0) != 0;
+  util::ByteMutator mutator(42);
+  std::vector<std::vector<std::uint8_t>> corpus;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    auto wire = dns::make_ptr_query_packet(static_cast<std::uint16_t>(i),
+                                           net::IPv4Addr(0x0a000000u + i));
+    if (mutated) mutator.mutate_n(wire, 3);
+    corpus.push_back(std::move(wire));
+  }
+  dns::CaptureStats stats;
+  const net::IPv4Addr source(0xc0000235u);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dns::record_from_packet(corpus[i++ & 255], util::SimTime::seconds(0), source, stats));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(mutated ? "mutated" : "valid");
+}
+BENCHMARK(BM_RecordFromPacket)->Arg(0)->Arg(1);
 
 void BM_DedupIngest(benchmark::State& state) {
   const auto& records = world().records;

@@ -174,6 +174,21 @@ bool TcpStream::read_exact(void* buf, std::size_t len, int timeout_ms) {
   return true;
 }
 
+std::optional<std::size_t> TcpStream::read_some(void* buf, std::size_t cap,
+                                                int timeout_ms) {
+  // Non-blocking first: under load the bytes are already queued, so the
+  // common case costs one recv and no poll.
+  bool waited = false;
+  for (;;) {
+    const ssize_t n = ::recv(fd_, buf, cap, waited ? 0 : MSG_DONTWAIT);
+    if (n >= 0) return static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    if ((errno != EAGAIN && errno != EWOULDBLOCK) || waited) return std::nullopt;
+    if (!wait_readable(fd_, timeout_ms)) return std::nullopt;
+    waited = true;
+  }
+}
+
 std::optional<std::string> TcpStream::read_line(int timeout_ms, std::size_t max_len) {
   std::string line;
   char c = 0;
@@ -212,6 +227,10 @@ bool TcpListener::listen(std::string_view bind_addr, std::uint16_t port, int bac
 }
 
 std::uint16_t TcpListener::local_port() const { return valid() ? bound_port(fd_) : 0; }
+
+bool TcpListener::pending(int timeout_ms) const {
+  return valid() && wait_readable(fd_, timeout_ms);
+}
 
 std::optional<TcpStream> TcpListener::accept(int timeout_ms) {
   if (!valid() || !wait_readable(fd_, timeout_ms)) return std::nullopt;

@@ -77,6 +77,10 @@ class TcpStream : public Socket {
   /// Reads exactly `len` bytes, waiting up to `timeout_ms` between chunks;
   /// false on EOF/timeout/error.
   bool read_exact(void* buf, std::size_t len, int timeout_ms);
+  /// Reads whatever has arrived, up to `cap` bytes (one recv when data is
+  /// already queued), waiting up to `timeout_ms` for the first byte.
+  /// Returns the byte count; 0 on EOF, nullopt on timeout/error.
+  std::optional<std::size_t> read_some(void* buf, std::size_t cap, int timeout_ms);
   /// Reads up to and including '\n' (returned without it, CR stripped);
   /// nullopt on EOF/timeout before a full line.
   std::optional<std::string> read_line(int timeout_ms, std::size_t max_len = 4096);
@@ -88,6 +92,9 @@ class TcpListener : public Socket {
   std::uint16_t local_port() const;
   /// Waits up to `timeout_ms` for a connection; nullopt on timeout/error.
   std::optional<TcpStream> accept(int timeout_ms);
+  /// True when a connection waits in the backlog (waiting up to
+  /// `timeout_ms` for one); it stays there until accept().
+  bool pending(int timeout_ms) const;
 
   const std::string& last_error() const noexcept { return error_; }
 

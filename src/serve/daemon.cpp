@@ -1,8 +1,11 @@
 #include "serve/daemon.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <sstream>
@@ -70,7 +73,54 @@ std::uint64_t steady_now_ns() {
 
 constexpr std::string_view kTextPlain = "text/plain; charset=utf-8";
 
+std::size_t frame_length(const std::uint8_t* p) {
+  return (static_cast<std::size_t>(p[0]) << 8) | p[1];
+}
+
 }  // namespace
+
+/// A fixed set of receive buffers carved from one allocation.  The tcp
+/// thread acquires one, fills it, and queues it; the drive thread's drop
+/// of the batch releases it.  A connection therefore never has more than
+/// kTcpRingBuffers buffers of bytes in flight, and steady state allocates
+/// nothing.
+class ServeDaemon::TcpRing {
+ public:
+  TcpRing()
+      : storage_(std::make_unique_for_overwrite<std::uint8_t[]>(kTcpRingBuffers *
+                                                                kTcpBufferBytes)) {}
+
+  /// Waits for a free buffer; null once `stop` is set.
+  std::uint8_t* acquire(const std::atomic<bool>& stop) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (free_ == 0) {
+      if (stop.load()) return nullptr;
+      released_.wait_for(lock, std::chrono::milliseconds(kPollMs));
+    }
+    const int slot = std::countr_zero(free_);
+    free_ &= ~(1u << slot);
+    return storage_.get() + static_cast<std::size_t>(slot) * kTcpBufferBytes;
+  }
+
+  void release(const std::uint8_t* buffer) {
+    const auto slot = static_cast<unsigned>((buffer - storage_.get()) / kTcpBufferBytes);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      free_ |= 1u << slot;
+    }
+    released_.notify_one();
+  }
+
+ private:
+  std::unique_ptr<std::uint8_t[]> storage_;
+  std::mutex mutex_;
+  std::condition_variable released_;
+  unsigned free_ = (1u << kTcpRingBuffers) - 1;
+};
+
+void ServeDaemon::BufferRelease::operator()(std::uint8_t* buffer) const {
+  ring->release(buffer);
+}
 
 ServeDaemon::ServeDaemon(ServeConfig config, const netdb::AsDb& as_db,
                          const netdb::GeoDb& geo_db, const core::QuerierResolver& resolver)
@@ -173,38 +223,75 @@ void ServeDaemon::udp_loop() {
     const auto n = udp_.recv_from(buf.data(), buf.size(), kPollMs, &source);
     if (!n) continue;
     g_udp.inc();
-    RawPacket packet;
-    packet.bytes.assign(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(*n));
-    packet.wall_secs = static_cast<std::int64_t>(::time(nullptr));
-    packet.source = source.addr;
-    if (!queue_.try_push(std::move(packet))) g_dropped.inc();
+    IntakeBatch batch;
+    batch.datagram.assign(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(*n));
+    batch.wall_secs = static_cast<std::int64_t>(::time(nullptr));
+    batch.source = source.addr;
+    queued_frames_.fetch_add(1);
+    if (!queue_.try_push(std::move(batch))) {
+      queued_frames_.fetch_sub(1);
+      g_dropped.inc();
+    }
   }
 }
 
 void ServeDaemon::tcp_loop() {
   while (!stop_.load()) {
-    auto stream = tcp_listener_.accept(kPollMs);
-    if (!stream) continue;
+    if (!tcp_listener_.pending(kPollMs)) continue;
+    // Counted before accept() takes the connection off the backlog, and
+    // drain_intake looks at the backlog before this count, so a
+    // connection is never in neither place.
     tcp_active_.fetch_add(1);
-    serve_tcp_connection(std::move(*stream));
+    if (auto stream = tcp_listener_.accept(0)) serve_tcp_connection(std::move(*stream));
     tcp_active_.fetch_sub(1);
   }
 }
 
 void ServeDaemon::serve_tcp_connection(net::TcpStream stream) {
   // Length-prefixed frames: u16 big-endian payload size, then the payload
-  // (same framing as DNS-over-TCP, RFC 1035 §4.2.2).  Blocking push: a
-  // full queue stalls the peer instead of dropping — replay is lossless.
-  while (!stop_.load()) {
-    std::uint8_t len_buf[2];
-    if (!stream.read_exact(len_buf, 2, kPollMs * 50)) return;  // EOF / idle peer
-    const std::size_t len = (static_cast<std::size_t>(len_buf[0]) << 8) | len_buf[1];
-    RawPacket packet;
-    packet.bytes.resize(len);
-    if (len > 0 && !stream.read_exact(packet.bytes.data(), len, kPollMs * 50)) return;
-    g_frames.inc();
-    packet.wall_secs = static_cast<std::int64_t>(::time(nullptr));
-    if (!queue_.push(std::move(packet))) return;
+  // (same framing as DNS-over-TCP, RFC 1035 §4.2.2).  Each recv lands in
+  // the current ring buffer; its complete frames go to the drive thread
+  // as one batch and the unfinished tail moves to the front of the next
+  // buffer.  Blocking push and a bounded ring: a slow drive thread stalls
+  // the peer instead of dropping — replay is lossless.  EOF or 5 s of
+  // silence loses only an unfinished frame.
+  const auto ring = std::make_shared<TcpRing>();
+  const auto next_buffer = [&] { return TcpBuffer(ring->acquire(stop_), BufferRelease{ring}); };
+  TcpBuffer buffer = next_buffer();
+  std::size_t filled = 0;
+  while (buffer && !stop_.load()) {
+    std::uint8_t* data = buffer.get();
+    const auto n = stream.read_some(data + filled, kTcpBufferBytes - filled, kPollMs * 50);
+    if (!n || *n == 0) return;  // idle peer / EOF
+    filled += *n;
+    std::size_t end = 0;
+    std::size_t frames = 0;
+    while (end + 2 <= filled) {
+      const std::size_t next = end + 2 + frame_length(data + end);
+      if (next > filled) break;
+      end = next;
+      ++frames;
+    }
+    // A buffer holds one largest frame plus one read, so a buffer without
+    // a complete frame always has room left to read into.
+    if (frames == 0) continue;
+    g_frames.add(frames);
+    IntakeBatch batch;
+    batch.buffer = std::move(buffer);
+    batch.frame_bytes = end;
+    batch.frames = frames;
+    batch.wall_secs = static_cast<std::int64_t>(::time(nullptr));
+    queued_frames_.fetch_add(frames);
+    if (!queue_.push(std::move(batch))) {
+      queued_frames_.fetch_sub(frames);
+      return;
+    }
+    // The drive thread reads only [0, end) of the queued buffer, so the
+    // tail stays ours to copy; the next buffer may be that same one, once
+    // it has been handed back.
+    buffer = next_buffer();
+    filled -= end;
+    if (buffer) std::memmove(buffer.get(), data + end, filled);
   }
 }
 
@@ -237,8 +324,11 @@ std::future<std::string> ServeDaemon::submit_control(std::string command) {
   auto request = std::make_unique<ControlRequest>();
   request->command = std::move(command);
   auto reply = request->reply.get_future();
-  std::lock_guard<std::mutex> lock(control_mutex_);
-  control_requests_.push_back(std::move(request));
+  {
+    std::lock_guard<std::mutex> lock(control_mutex_);
+    control_requests_.push_back(std::move(request));
+  }
+  queue_.wake();
   return reply;
 }
 
@@ -294,17 +384,11 @@ void ServeDaemon::handle_http(net::TcpStream& stream, const std::string& request
 }
 
 void ServeDaemon::drive_loop() {
-  std::vector<RawPacket> batch;
   while (true) {
     service_control();
     if (trace_active_ && steady_now_ns() >= trace_deadline_ns_) finish_trace();
     if (stop_.load()) break;
-    batch.clear();
-    const std::size_t n = queue_.pop_batch(batch, 256, 50);
-    // Intake backlog watermark: what was just popped plus what is still
-    // queued behind it.
-    driver_->note_queue_depth(n + queue_.size());
-    for (const RawPacket& p : batch) process_packet(p);
+    const std::size_t n = pump_intake(50);
     if (n > 0 && config_.checkpoint_every_secs > 0 && !config_.checkpoint_path.empty() &&
         driver_->stream_time().secs() >= next_cadence_checkpoint_) {
       std::string why;
@@ -357,11 +441,37 @@ void ServeDaemon::finish_trace() {
   });
 }
 
-void ServeDaemon::process_packet(const RawPacket& packet) {
+std::size_t ServeDaemon::pump_intake(int timeout_ms) {
+  const std::size_t n = queue_.pop_batch(batch_, 256, timeout_ms);
+  std::size_t frames = 0;
+  for (const IntakeBatch& b : batch_) frames += b.frames;
+  // Intake backlog watermark, in frames: what was just popped plus what
+  // is still queued behind it.
+  driver_->note_queue_depth(queued_frames_.load());
+  for (const IntakeBatch& b : batch_) process_batch(b);
+  queued_frames_.fetch_sub(frames);
+  batch_.clear();  // hands the TCP buffers back to their rings
+  return n;
+}
+
+void ServeDaemon::process_batch(const IntakeBatch& batch) {
+  if (!batch.buffer) {
+    process_packet(batch.datagram, batch.wall_secs, batch.source);
+    return;
+  }
+  const std::uint8_t* data = batch.buffer.get();
+  for (std::size_t at = 0; at < batch.frame_bytes;) {
+    const std::size_t len = frame_length(data + at);
+    process_packet({data + at + 2, len}, batch.wall_secs, net::IPv4Addr());
+    at += 2 + len;
+  }
+}
+
+void ServeDaemon::process_packet(std::span<const std::uint8_t> payload,
+                                 std::int64_t wall_secs, net::IPv4Addr source) {
   g_packets.inc();
-  std::span<const std::uint8_t> payload(packet.bytes);
-  util::SimTime time = util::SimTime::seconds(packet.wall_secs);
-  net::IPv4Addr querier = packet.source;
+  util::SimTime time = util::SimTime::seconds(wall_secs);
+  net::IPv4Addr querier = source;
   if (config_.stamped) {
     if (payload.size() < kStampHeader) {
       g_bad_stamp.inc();
@@ -454,20 +564,17 @@ std::string ServeDaemon::handle_control(const std::string& command) {
 void ServeDaemon::drain_intake() {
   // Quiesce the intake path so the checkpoint captures every record the
   // senders consider delivered: keep processing while an intake
-  // connection is open or the queue is non-empty.  Bounded patience (5 s
-  // of silence) so a stuck peer cannot wedge the control socket.
-  std::vector<RawPacket> batch;
+  // connection is waiting or open or the queue is non-empty, and return
+  // at once when none holds.  Bounded patience (5 s of silence) so a
+  // stuck peer cannot wedge the control socket.
   int idle_rounds = 0;
   while (idle_rounds < 100) {
-    batch.clear();
-    const std::size_t n = queue_.pop_batch(batch, 256, 50);
-    for (const RawPacket& p : batch) process_packet(p);
-    if (n > 0) {
+    if (!tcp_listener_.pending(0) && tcp_active_.load() == 0 && queue_.size() == 0) break;
+    if (pump_intake(50) > 0) {
       idle_rounds = 0;
-      continue;
+    } else {
+      ++idle_rounds;
     }
-    if (tcp_active_.load() == 0 && queue_.size() == 0) break;
-    ++idle_rounds;
   }
 }
 
@@ -511,7 +618,7 @@ std::string ServeDaemon::stats_json() const {
       << ",\"windows_closed\":" << driver_->windows_closed()
       << ",\"late_records\":" << driver_->late_records()
       << ",\"history_windows\":" << driver_->telemetry().size()
-      << ",\"queue_depth\":" << queue_.size() << ",\"capture\":{\"packets\":"
+      << ",\"queue_depth\":" << queued_frames_.load() << ",\"capture\":{\"packets\":"
       << capture_stats_.packets << ",\"accepted\":" << capture_stats_.accepted
       << ",\"malformed\":" << capture_stats_.malformed
       << ",\"responses\":" << capture_stats_.responses

@@ -2,18 +2,30 @@
 //
 // Layout (one process, four threads):
 //
-//   udp thread    recvfrom() -> RawPacket -> try_push (drop + count when full)
-//   tcp thread    accept(); length-prefixed frames -> blocking push (lossless)
+//   udp thread    recvfrom() -> one datagram per IntakeBatch -> try_push
+//                 (drop + count when full)
+//   tcp thread    accept(); one recv at a time into the connection's ring
+//                 of 4 receive buffers; every complete length-prefixed
+//                 frame in a buffer rides one IntakeBatch (blocking push,
+//                 lossless); an unfinished frame carries over to the next
+//                 buffer
 //   status thread accept(); line commands (STATS/HISTORY/TRACE/CHECKPOINT/
-//                 FLUSH/SHUTDOWN/PING) forwarded to the drive thread, reply
-//                 written back.  The same socket answers HTTP/1.1 GETs
-//                 (/metrics, /healthz, /windows): the first line of a
-//                 connection picks the protocol.
-//   drive thread  pops packet batches, decodes via dns::record_from_packet,
-//                 offers records to the StreamingWindowDriver (which owns
-//                 window open/close against the WindowedPipeline), services
-//                 control requests, checkpoints, starts/stops timed trace
-//                 captures (TRACE <secs>)
+//                 FLUSH/SHUTDOWN/PING) forwarded to the drive thread, which
+//                 they wake; reply written back.  The same socket answers
+//                 HTTP/1.1 GETs (/metrics, /healthz, /windows): the first
+//                 line of a connection picks the protocol.
+//   drive thread  pops batches, walks their frames in place, classifies
+//                 each via dns::record_from_packet, hands TCP buffers back
+//                 to their ring, offers records to the StreamingWindowDriver
+//                 (which owns window open/close against the
+//                 WindowedPipeline), services control requests,
+//                 checkpoints, starts/stops timed trace captures
+//                 (TRACE <secs>)
+//
+//   peer --recv--> [buf0][buf1][buf2][buf3]   per-connection ring
+//                    |  IntakeBatch{frames in place}        ^
+//                    v                                      | hand back
+//                BoundedQueue --pop_batch--> drive thread --+
 //
 // Plus a shared util::JobSystem (the async window pipeline) with serial
 // queues on one small worker pool:
@@ -24,9 +36,9 @@
 //           queriers), retrain gate, classify, telemetry, summary render
 //           (StreamingWindowDriver; with carry-forward off there is no
 //           shared cache and lookups stay in extraction)
-//   export  --windows-out summary appends (re-sequenced by absolute
-//           window index) and TRACE dump serialization — file I/O never
-//           blocks intake
+//   export  --windows-out summary appends (in window order: blocks leave
+//           the serial close queue in order) and TRACE dump
+//           serialization — file I/O never blocks intake
 //
 // Every close and every summary append goes through its queue.  With
 // --async-windows off the close queue lives on a private job system with
@@ -40,6 +52,9 @@
 // window's stats come from its own sensor, so a replayed stream produces
 // byte-identical windows in both --async-windows modes (see
 // analysis/streaming.hpp).
+// In-flight TCP bytes are bounded per connection by its ring; the queue
+// depth (STATS queue_depth, HISTORY queue_depth_peak) counts frames, not
+// batches.
 // Socket-side tallies (datagrams seen, queue drops, frames) and the
 // dnsbs.serve.jobs.* queue gauges are sched-flagged: they depend on kernel
 // timing, not on the stream.  Control verbs that read shared state (STATS,
@@ -60,6 +75,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -128,11 +144,32 @@ class ServeDaemon {
   const analysis::StreamingWindowDriver* driver() const { return driver_.get(); }
   analysis::WindowedPipeline* pipeline() { return pipeline_.get(); }
 
+  /// TCP intake bounds: each connection owns kTcpRingBuffers receive
+  /// buffers, each sized for one largest frame plus one read.
+  static constexpr std::size_t kTcpReadBytes = 65536;
+  static constexpr std::size_t kTcpBufferBytes = 2 + 65535 + kTcpReadBytes;
+  static constexpr std::size_t kTcpRingBuffers = 4;
+
  private:
-  struct RawPacket {
-    std::vector<std::uint8_t> bytes;
-    std::int64_t wall_secs = 0;
-    net::IPv4Addr source;
+  /// One TCP connection's receive buffers; defined in daemon.cpp.
+  class TcpRing;
+  /// Hands a TCP receive buffer back to its ring when the batch holding it
+  /// is dropped.
+  struct BufferRelease {
+    std::shared_ptr<TcpRing> ring;
+    void operator()(std::uint8_t* buffer) const;
+  };
+  using TcpBuffer = std::unique_ptr<std::uint8_t, BufferRelease>;
+  /// One intake queue item: a UDP datagram, or every complete
+  /// length-prefixed frame ([u16 BE length][payload]...) of one TCP
+  /// receive buffer, walked in place.
+  struct IntakeBatch {
+    std::vector<std::uint8_t> datagram;  ///< UDP: the packet
+    TcpBuffer buffer;                    ///< TCP: frames at [0, frame_bytes)
+    std::size_t frame_bytes = 0;
+    std::size_t frames = 1;
+    std::int64_t wall_secs = 0;          ///< one ::time() per batch
+    net::IPv4Addr source;                ///< UDP sender
   };
   struct ControlRequest {
     std::string command;
@@ -146,15 +183,22 @@ class ServeDaemon {
   void handle_http(net::TcpStream& stream, const std::string& request_line);
   std::future<std::string> submit_control(std::string command);
   void drive_loop();
-  void process_packet(const RawPacket& packet);
+  /// Classifies every frame of a batch and offers the records.
+  void process_batch(const IntakeBatch& batch);
+  void process_packet(std::span<const std::uint8_t> payload, std::int64_t wall_secs,
+                      net::IPv4Addr source);
+  /// Pops up to 256 batches (waiting up to `timeout_ms` for the first),
+  /// processes them and hands their TCP buffers back; returns the number
+  /// of batches.
+  std::size_t pump_intake(int timeout_ms);
   void service_control();
   std::string handle_control(const std::string& command);
   std::string stats_json() const;
   bool write_checkpoint(std::string& why);
   void drain_intake();
   /// Driver close callback: renders the summary block (on the closing
-  /// thread — a job worker in async mode), sequences it, and appends to
-  /// --windows-out via the export queue (drained at once in sync mode).
+  /// thread — a job worker in async mode) and appends it to --windows-out
+  /// via the export queue (drained at once in sync mode).
   void on_window_close(const analysis::WindowResult& result,
                        const labeling::WindowObservation& observation);
   void append_summary(const std::string& block);
@@ -177,7 +221,10 @@ class ServeDaemon {
   util::JobSystem::QueueId export_queue_ = 0;
   std::unique_ptr<analysis::WindowedPipeline> pipeline_;
   std::unique_ptr<analysis::StreamingWindowDriver> driver_;
-  BoundedQueue<RawPacket> queue_;
+  BoundedQueue<IntakeBatch> queue_;
+  /// Frames pushed and not yet processed: the queue depth in records.
+  std::atomic<std::size_t> queued_frames_{0};
+  std::vector<IntakeBatch> batch_;  ///< drive thread's pop buffer
 
   net::UdpSocket udp_;
   net::TcpListener tcp_listener_;

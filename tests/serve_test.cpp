@@ -1,10 +1,16 @@
 // Streaming daemon stack: CLI parsing regressions, the bounded intake
 // queue, StreamingWindowDriver vs the batch pipeline as an oracle, the
-// checkpoint/restore byte-identity contract, and a loopback integration
-// run of the full ServeDaemon (sockets, stamped framing, control
-// protocol).
+// checkpoint/restore byte-identity contract, loopback integration runs
+// of the full ServeDaemon (sockets, stamped framing, control protocol),
+// and the buffered TCP intake's framing and backpressure.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -21,6 +27,7 @@
 #include "analysis/telemetry.hpp"
 #include "cli_options.hpp"
 #include "util/jobs.hpp"
+#include "util/metrics.hpp"
 #include "dns/capture.hpp"
 #include "labeling/ground_truth.hpp"
 #include "net/socket.hpp"
@@ -1567,6 +1574,292 @@ TEST(ServeDaemon, AsyncLoopbackSummariesMatchSyncByteForByte) {
   EXPECT_NE(async_stats.find("dnsbs.serve.jobs.close.completed"), std::string::npos)
       << "job queue metrics should ride the registry";
 #endif
+}
+
+// ---- buffered TCP intake: framing vs the sync driver -------------------
+
+std::vector<std::uint8_t> framed(const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> out;
+  append_be16(out, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+/// The frame carrying `r` as a stamped PTR query, its payload padded with
+/// trailing zeros to `payload_bytes` (trailing bytes do not change how a
+/// query classifies).
+std::vector<std::uint8_t> record_frame(const QueryRecord& r, std::size_t payload_bytes = 0) {
+  auto payload = stamped_payload(r.time.secs(), r.querier,
+                                 dns::make_ptr_query_packet(7, r.originator));
+  if (payload.size() < payload_bytes) payload.resize(payload_bytes, 0);
+  return framed(payload);
+}
+
+/// `windows` 100-second windows of traffic, `queriers` per originator.
+std::vector<QueryRecord> framing_records(int first_window, int windows, int queriers) {
+  std::vector<QueryRecord> records;
+  for (int w = first_window; w < first_window + windows; ++w) {
+    for (int o = 0; o < 4; ++o) {
+      for (int q = 0; q < queriers; ++q) {
+        records.push_back(rec(w * 100 + q % 100, addr(10, 0, q, o), addr(192, 0, 2, o)));
+      }
+    }
+  }
+  return records;
+}
+
+serve::ServeConfig framing_config(const std::string& windows_out) {
+  serve::ServeConfig cfg;
+  cfg.tcp = true;
+  cfg.stamped = true;
+  cfg.streaming.window = SimTime::seconds(100);
+  cfg.pipeline = pipeline_config();
+  cfg.pipeline.sensor.min_queriers = 3;
+  cfg.windows_out = windows_out;
+  return cfg;
+}
+
+/// What --windows-out holds after a sync StreamingWindowDriver with the
+/// daemon's window and pipeline config is fed `records` and flushed.
+std::string sync_summaries(const std::vector<QueryRecord>& records) {
+  Dbs dbs;
+  const CategoryResolver resolver;
+  const serve::ServeConfig cfg = framing_config("");
+  analysis::WindowedPipeline pipeline(cfg.pipeline, dbs.as_db, dbs.geo_db, resolver);
+  analysis::StreamingWindowDriver driver(cfg.streaming, pipeline, dbs.as_db, dbs.geo_db,
+                                         resolver);
+  std::string out;
+  driver.set_window_close_callback(
+      [&out](const analysis::WindowResult& r, const labeling::WindowObservation& o) {
+        out += serve::render_window_summary(r, o);
+      });
+  for (const QueryRecord& r : records) driver.offer(r);
+  driver.flush();
+  return out;
+}
+
+std::string slurp_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+std::optional<net::TcpStream> connect_nodelay(std::uint16_t port) {
+  auto stream = net::TcpStream::connect("127.0.0.1", port);
+  if (stream) {
+    const int one = 1;
+    ::setsockopt(stream->fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  return stream;
+}
+
+std::string ask(net::TcpStream& control, const std::string& cmd) {
+  const std::string line = cmd + "\n";
+  EXPECT_TRUE(control.write_all(line.data(), line.size())) << cmd;
+  auto reply = control.read_line(30000, std::size_t{1} << 20);
+  EXPECT_TRUE(reply.has_value()) << cmd;
+  return reply.value_or("");
+}
+
+/// A daemon counter (registered by daemon.cpp, whose flags win).
+std::uint64_t counter_value(const char* name) { return util::metrics_counter(name).value(); }
+
+/// Boots a daemon, writes `chunks` over one TCP_NODELAY connection (one
+/// write_all each), hangs up, FLUSHes and returns --windows-out.
+std::string daemon_summaries(const std::vector<std::vector<std::uint8_t>>& chunks,
+                             const std::string& name) {
+  Dbs dbs;
+  const CategoryResolver resolver;
+  const std::string windows_out = ::testing::TempDir() + name;
+  std::remove(windows_out.c_str());
+  serve::ServeDaemon daemon(framing_config(windows_out), dbs.as_db, dbs.geo_db, resolver);
+  std::string error;
+  EXPECT_TRUE(daemon.start(error)) << error;
+  {
+    auto stream = connect_nodelay(daemon.tcp_port());
+    EXPECT_TRUE(stream.has_value());
+    for (const auto& chunk : chunks) {
+      if (!stream) break;
+      EXPECT_TRUE(stream->write_all(chunk.data(), chunk.size()));
+    }
+  }
+  auto control = net::TcpStream::connect("127.0.0.1", daemon.status_port());
+  EXPECT_TRUE(control.has_value());
+  if (control) {
+    EXPECT_EQ(ask(*control, "FLUSH"), "OK flushed");
+    EXPECT_EQ(ask(*control, "SHUTDOWN"), "OK shutting down");
+  }
+  daemon.wait();
+  return slurp_file(windows_out);
+}
+
+TEST(TcpIntake, FramingCasesMatchSyncDriverByteForByte) {
+  const std::vector<QueryRecord> records = framing_records(0, 3, 8);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (const QueryRecord& r : records) frames.push_back(record_frame(r));
+  const std::string expect = sync_summaries(records);
+  ASSERT_NE(expect.find("window 2 "), std::string::npos);
+  ASSERT_GT(records.size(), frames.front().size()) << "need a frame per split offset";
+
+  {
+    SCOPED_TRACE("frame i split at byte offset i mod (frame size + 1)");
+    std::vector<std::vector<std::uint8_t>> chunks;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const auto& f = frames[i];
+      const std::size_t cut = i % (f.size() + 1);
+      chunks.emplace_back(f.begin(), f.begin() + static_cast<std::ptrdiff_t>(cut));
+      chunks.emplace_back(f.begin() + static_cast<std::ptrdiff_t>(cut), f.end());
+    }
+    EXPECT_EQ(daemon_summaries(chunks, "tcp_split.txt"), expect);
+  }
+  {
+    SCOPED_TRACE("every frame in one segment");
+    std::vector<std::uint8_t> all;
+    for (const auto& f : frames) all.insert(all.end(), f.begin(), f.end());
+    EXPECT_EQ(daemon_summaries({all}, "tcp_one_segment.txt"), expect);
+  }
+  {
+    SCOPED_TRACE("a zero-length frame is a bad stamp");
+    std::vector<std::vector<std::uint8_t>> chunks = frames;
+    chunks.insert(chunks.begin() + 5, std::vector<std::uint8_t>{0, 0});
+    const std::uint64_t bad_before = counter_value("dnsbs.serve.bad_stamp");
+    const std::uint64_t frames_before = counter_value("dnsbs.serve.tcp_frames");
+    EXPECT_EQ(daemon_summaries(chunks, "tcp_zero_length.txt"), expect);
+#if DNSBS_METRICS_ENABLED
+    EXPECT_EQ(counter_value("dnsbs.serve.bad_stamp") - bad_before, 1u);
+    EXPECT_EQ(counter_value("dnsbs.serve.tcp_frames") - frames_before, frames.size() + 1);
+#endif
+  }
+  {
+    SCOPED_TRACE("one 65,535-byte frame");
+    std::vector<QueryRecord> with_big = records;
+    const QueryRecord big = rec(150, addr(10, 0, 9, 9), addr(192, 0, 2, 1));
+    with_big.insert(with_big.begin() + 40, big);
+    std::vector<std::vector<std::uint8_t>> chunks = frames;
+    chunks.insert(chunks.begin() + 40, record_frame(big, 65535));
+    ASSERT_EQ(chunks[40].size(), 2u + 65535u);
+    const std::string got = daemon_summaries(chunks, "tcp_big_frame.txt");
+    EXPECT_EQ(got, sync_summaries(with_big));
+    EXPECT_NE(got, expect) << "the big frame's record must reach its window";
+  }
+  {
+    SCOPED_TRACE("EOF mid-frame loses only the unfinished frame");
+    // The cut frame would open a fourth window if it were decoded.
+    std::vector<std::vector<std::uint8_t>> chunks = frames;
+    const auto tail = record_frame(rec(350, addr(10, 0, 1, 1), addr(192, 0, 2, 1)));
+    chunks.emplace_back(tail.begin(), tail.begin() + static_cast<std::ptrdiff_t>(tail.size() / 2));
+    EXPECT_EQ(daemon_summaries(chunks, "tcp_eof_mid_frame.txt"), expect);
+  }
+}
+
+/// Resolves as CategoryResolver does, but holds the calling thread while
+/// the gate is shut.  In sync mode that thread is the drive thread, in
+/// the middle of a window close.
+class GatedResolver final : public core::QuerierResolver {
+ public:
+  core::QuerierInfo resolve(IPv4Addr querier) const override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    entered_ = true;
+    changed_.notify_all();
+    changed_.wait(lock, [this] { return open_; });
+    return CategoryResolver().resolve(querier);
+  }
+  bool wait_entered() const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return changed_.wait_for(lock, std::chrono::seconds(30), [this] { return entered_; });
+  }
+  void open() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable changed_;
+  mutable bool entered_ = false;
+  mutable bool open_ = false;
+};
+
+TEST(TcpIntake, StalledDriveHoldsConnectionAtItsBufferLimitWithoutLoss) {
+#if !DNSBS_METRICS_ENABLED
+  GTEST_SKIP() << "watches dnsbs.serve.tcp_frames, a no-op without metrics";
+#endif
+  Dbs dbs;
+  const GatedResolver resolver;
+  const std::string windows_out = ::testing::TempDir() + "tcp_stalled.txt";
+  std::remove(windows_out.c_str());
+  serve::ServeDaemon daemon(framing_config(windows_out), dbs.as_db, dbs.geo_db, resolver);
+  // However the test ends, the gate opens before the daemon shuts down.
+  struct OpenOnExit {
+    const GatedResolver& gate;
+    ~OpenOnExit() { gate.open(); }
+  } open_on_exit{resolver};
+  std::string error;
+  ASSERT_TRUE(daemon.start(error)) << error;
+
+  // Window 0, then one record of window 1: closing window 0 resolves its
+  // queriers and the drive thread stops in the gate.
+  std::vector<QueryRecord> records = framing_records(0, 1, 8);
+  records.push_back(rec(100, addr(10, 0, 0, 0), addr(192, 0, 2, 0)));
+  auto stream = connect_nodelay(daemon.tcp_port());
+  ASSERT_TRUE(stream.has_value());
+  for (const QueryRecord& r : records) {
+    const auto f = record_frame(r);
+    ASSERT_TRUE(stream->write_all(f.data(), f.size()));
+  }
+  ASSERT_TRUE(resolver.wait_entered());
+
+  // 2 MiB of 1 KiB frames in one write: four times what a connection's
+  // ring holds, and many frames per receive buffer.
+  const std::uint64_t frames_before = counter_value("dnsbs.serve.tcp_frames");
+  const std::vector<QueryRecord> bulk = framing_records(1, 2, 256);
+  constexpr std::size_t kFrameBytes = 1024;
+  std::vector<std::uint8_t> wire;
+  for (const QueryRecord& r : bulk) {
+    const auto f = record_frame(r, kFrameBytes - 2);
+    wire.insert(wire.end(), f.begin(), f.end());
+  }
+  std::thread sender([&stream, &wire] {
+    EXPECT_TRUE(stream->write_all(wire.data(), wire.size()));
+    stream->close();
+  });
+  // Wait until the connection stops taking frames: its ring is full.
+  std::uint64_t read = 0;
+  for (int quiet = 0; quiet < 6;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::uint64_t now = counter_value("dnsbs.serve.tcp_frames") - frames_before;
+    quiet = now == read ? quiet + 1 : 0;
+    read = now;
+  }
+  EXPECT_LT(read, bulk.size()) << "the stalled drive thread should hold the peer back";
+  EXPECT_LE(read * kFrameBytes,
+            serve::ServeDaemon::kTcpRingBuffers * serve::ServeDaemon::kTcpBufferBytes);
+  EXPECT_GT(read, serve::ServeDaemon::kTcpRingBuffers) << "batches carry many frames";
+
+  resolver.open();
+  sender.join();
+  records.insert(records.end(), bulk.begin(), bulk.end());
+  auto control = net::TcpStream::connect("127.0.0.1", daemon.status_port());
+  ASSERT_TRUE(control.has_value());
+  EXPECT_EQ(ask(*control, "FLUSH"), "OK flushed");
+  const std::string stats = ask(*control, "STATS");
+  EXPECT_NE(stats.find("\"capture\":{\"packets\":" + std::to_string(records.size()) + ","),
+            std::string::npos)
+      << "every frame is decoded: " << stats;
+  EXPECT_NE(stats.find("\"queue_depth\":0,"), std::string::npos) << stats;
+  // The queue depth counts frames: once the gate opened, the queued
+  // buffers held every frame read during the stall.
+  const std::string history = ask(*control, "HISTORY");
+  std::uint64_t peak = 0;
+  const std::string key = "\"queue_depth_peak\":";
+  for (std::size_t at = history.find(key); at != std::string::npos;
+       at = history.find(key, at + 1)) {
+    peak = std::max<std::uint64_t>(peak, std::stoull(history.substr(at + key.size())));
+  }
+  EXPECT_GE(peak, read) << history;
+  EXPECT_EQ(ask(*control, "SHUTDOWN"), "OK shutting down");
+  daemon.wait();
+  EXPECT_EQ(slurp_file(windows_out), sync_summaries(records));
 }
 
 // ---- HTTP scrape surface + HISTORY/TRACE verbs -------------------------

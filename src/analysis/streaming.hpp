@@ -161,9 +161,12 @@ class StreamingWindowDriver {
     return telemetry_.to_json(last_n);
   }
 
-  /// Feeds the intake-queue watermark for the telemetry entry of the
+  /// Feeds the intake backlog watermark for the telemetry entry of the
   /// window currently accumulating; the daemon calls this from its drive
-  /// thread between batches.  Resets at each window close.
+  /// thread with the TCP frames queued at each pop and with the size of
+  /// each recvmmsg batch (UDP waits in the kernel's receive buffer, so its
+  /// part of the watermark is the largest batch drained).  Resets at each
+  /// window close.
   void note_queue_depth(std::size_t depth) noexcept {
     const auto d = static_cast<std::int64_t>(depth);
     std::int64_t cur = queue_depth_peak_.load(std::memory_order_relaxed);

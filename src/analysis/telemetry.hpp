@@ -43,7 +43,7 @@ struct WindowTelemetry {
 
   // Scheduling-shaped operational fields, grouped under "sched" in the
   // JSON so determinism diffs can strip them in one pass.
-  std::int64_t queue_depth_peak = 0;  ///< intake queue watermark this window
+  std::int64_t queue_depth_peak = 0;  ///< intake backlog watermark this window
 
   bool operator==(const WindowTelemetry&) const = default;
 };

@@ -3,9 +3,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -57,6 +59,10 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   return *this;
 }
 
+bool Socket::pending(int timeout_ms) const {
+  return valid() && wait_readable(fd_, timeout_ms);
+}
+
 void Socket::close() noexcept {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -75,6 +81,8 @@ bool UdpSocket::bind(std::string_view bind_addr, std::uint16_t port) {
   // clamp to rmem_max).
   const int rcvbuf = 4 * 1024 * 1024;
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  const int one = 1;
+  ::setsockopt(fd_, SOL_SOCKET, SO_RXQ_OVFL, &one, sizeof(one));
   sockaddr_in addr{};
   if (!fill_addr(bind_addr, port, addr, &error_)) {
     close();
@@ -111,22 +119,74 @@ bool UdpSocket::send_to(std::string_view host, std::uint16_t port, const void* d
   return true;
 }
 
-std::optional<std::size_t> UdpSocket::recv_from(void* buf, std::size_t cap,
-                                                int timeout_ms, DatagramSource* source) {
-  if (!valid() || !wait_readable(fd_, timeout_ms)) return std::nullopt;
-  sockaddr_in from{};
-  socklen_t from_len = sizeof(from);
-  const ssize_t n =
-      ::recvfrom(fd_, buf, cap, 0, reinterpret_cast<sockaddr*>(&from), &from_len);
-  if (n < 0) {
-    error_ = std::strerror(errno);
-    return std::nullopt;
+std::size_t UdpSocket::receive_buffer_bytes() const {
+  int bytes = 0;
+  socklen_t len = sizeof(bytes);
+  if (!valid() || ::getsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, &len) != 0) return 0;
+  return static_cast<std::size_t>(bytes);
+}
+
+std::size_t UdpSocket::recv_batch(DatagramSlab& slab) {
+  for (mmsghdr& m : slab.headers_) {
+    m.msg_hdr.msg_namelen = sizeof(sockaddr_in);
+    m.msg_hdr.msg_controllen = sizeof(DatagramSlab::Control);
   }
-  if (source != nullptr) {
-    source->addr = IPv4Addr(ntohl(from.sin_addr.s_addr));
-    source->port = ntohs(from.sin_port);
+  int n = 0;
+  do {
+    n = ::recvmmsg(fd_, slab.headers_.data(), static_cast<unsigned>(slab.slots()),
+                   MSG_DONTWAIT, nullptr);
+  } while (n < 0 && errno == EINTR);
+  if (n <= 0) {
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) error_ = std::strerror(errno);
+    return 0;
+  }
+  for (int i = 0; i < n; ++i) {
+    msghdr& h = slab.headers_[static_cast<std::size_t>(i)].msg_hdr;
+    for (cmsghdr* c = CMSG_FIRSTHDR(&h); c != nullptr; c = CMSG_NXTHDR(&h, c)) {
+      if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SO_RXQ_OVFL) {
+        std::memcpy(&drops_, CMSG_DATA(c), sizeof(drops_));
+      }
+    }
   }
   return static_cast<std::size_t>(n);
+}
+
+DatagramSlab::DatagramSlab(std::size_t slots, std::size_t slot_bytes)
+    : slot_bytes_(slot_bytes),
+      storage_(std::make_unique_for_overwrite<std::uint8_t[]>(slots * slot_bytes)),
+      headers_(slots),
+      iov_(slots),
+      from_(slots),
+      control_(slots) {
+  for (std::size_t i = 0; i < slots; ++i) {
+    iov_[i] = {storage_.get() + i * slot_bytes, slot_bytes};
+    msghdr& h = headers_[i].msg_hdr;
+    h.msg_name = &from_[i];
+    h.msg_iov = &iov_[i];
+    h.msg_iovlen = 1;
+    h.msg_control = &control_[i];
+  }
+}
+
+std::span<const std::uint8_t> DatagramSlab::datagram(std::size_t i) const noexcept {
+  return {storage_.get() + i * slot_bytes_,
+          std::min<std::size_t>(headers_[i].msg_len, slot_bytes_)};
+}
+
+IPv4Addr DatagramSlab::source(std::size_t i) const noexcept {
+  return IPv4Addr(ntohl(from_[i].sin_addr.s_addr));
+}
+
+EventFd::EventFd() : Socket(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+
+void EventFd::signal() noexcept {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof(one));
+}
+
+void EventFd::clear() noexcept {
+  std::uint64_t count = 0;
+  [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof(count));
 }
 
 std::optional<TcpStream> TcpStream::connect(std::string_view host, std::uint16_t port,
@@ -227,10 +287,6 @@ bool TcpListener::listen(std::string_view bind_addr, std::uint16_t port, int bac
 }
 
 std::uint16_t TcpListener::local_port() const { return valid() ? bound_port(fd_) : 0; }
-
-bool TcpListener::pending(int timeout_ms) const {
-  return valid() && wait_readable(fd_, timeout_ms);
-}
 
 std::optional<TcpStream> TcpListener::accept(int timeout_ms) {
   if (!valid() || !wait_readable(fd_, timeout_ms)) return std::nullopt;

@@ -2,16 +2,23 @@
 //
 // Scope is deliberately small: IPv4 only (the sensor pipeline is IPv4),
 // blocking IO with poll()-based timeouts so intake threads can notice a
-// stop flag, and no buffering cleverness — the daemon's bounded queue is
-// the buffer.  Errors surface as false/std::nullopt plus errno text via
-// last_error(); nothing throws.
+// stop flag, UDP receives batched into a caller-owned fixed slab, and no
+// buffering cleverness — the kernel's receive buffer and the daemon's
+// bounded queue are the buffers.  Errors surface as false/std::nullopt
+// plus errno text via last_error(); nothing throws.
 #pragma once
+
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "net/ipv4.hpp"
 
@@ -31,38 +38,82 @@ class Socket {
   bool valid() const noexcept { return fd_ >= 0; }
   int fd() const noexcept { return fd_; }
   void close() noexcept;
+  /// True when a read would not block — a datagram, a connection in the
+  /// backlog, bytes — waiting up to `timeout_ms`; nothing is consumed.
+  bool pending(int timeout_ms) const;
 
  protected:
   int fd_ = -1;
 };
 
-/// Source of one received datagram.
-struct DatagramSource {
-  IPv4Addr addr;
-  std::uint16_t port = 0;
+/// An eventfd that wakes a poll(): any thread signal()s it; the polling
+/// thread clear()s it once awake.  Signals before the clear coalesce.
+class EventFd : public Socket {
+ public:
+  EventFd();
+  void signal() noexcept;
+  void clear() noexcept;
+};
+
+/// Fixed receive slots for UdpSocket::recv_batch, allocated once: `slots`
+/// buffers of `slot_bytes` each, with the sender address and control
+/// space of each.  Only the pages that datagrams touch become resident.
+class DatagramSlab {
+ public:
+  DatagramSlab(std::size_t slots, std::size_t slot_bytes);
+  DatagramSlab(const DatagramSlab&) = delete;
+  DatagramSlab& operator=(const DatagramSlab&) = delete;
+
+  std::size_t slots() const noexcept { return headers_.size(); }
+  /// Datagram `i` of the last recv_batch (i below its return value).
+  std::span<const std::uint8_t> datagram(std::size_t i) const noexcept;
+  IPv4Addr source(std::size_t i) const noexcept;
+
+ private:
+  friend class UdpSocket;
+  /// Room for one SO_RXQ_OVFL message (a u32 drop count) per slot.
+  union Control {
+    cmsghdr align;
+    std::uint8_t bytes[CMSG_SPACE(sizeof(std::uint32_t))];
+  };
+
+  std::size_t slot_bytes_;
+  std::unique_ptr<std::uint8_t[]> storage_;
+  std::vector<mmsghdr> headers_;
+  std::vector<iovec> iov_;
+  std::vector<sockaddr_in> from_;
+  std::vector<Control> control_;
 };
 
 class UdpSocket : public Socket {
  public:
-  /// Binds to `bind_addr:port` (port 0 = ephemeral).  Sets a generous
-  /// SO_RCVBUF — the kernel queue absorbs bursts while the intake thread
-  /// drains into the daemon's bounded queue.
+  /// Binds to `bind_addr:port` (port 0 = ephemeral).  Asks for a 4 MiB
+  /// SO_RCVBUF — the kernel queue is what absorbs bursts while the
+  /// daemon's drive thread is busy — and turns on SO_RXQ_OVFL so
+  /// recv_batch learns how many datagrams a full buffer dropped.
   bool bind(std::string_view bind_addr, std::uint16_t port);
   /// The actually-bound port (resolves ephemeral binds).
   std::uint16_t local_port() const;
+  /// SO_RCVBUF as granted: the kernel doubles the request (for its own
+  /// bookkeeping) after clamping it to net.core.rmem_max.
+  std::size_t receive_buffer_bytes() const;
 
   bool send_to(std::string_view host, std::uint16_t port, const void* data,
                std::size_t len);
-  /// Waits up to `timeout_ms` for a datagram; returns its length (0 is a
-  /// valid empty datagram) or nullopt on timeout/error.  `source`, when
-  /// non-null, receives the sender address.
-  std::optional<std::size_t> recv_from(void* buf, std::size_t cap, int timeout_ms,
-                                       DatagramSource* source = nullptr);
+  /// Receives the datagrams already queued, at most one per slot of
+  /// `slab`, with one recvmmsg that never waits.  Returns how many landed
+  /// (0 when none is queued, or on error).
+  std::size_t recv_batch(DatagramSlab& slab);
+  /// Datagrams the kernel dropped on a full receive buffer, as reported
+  /// with the newest datagram recv_batch received (cumulative, wraps at
+  /// 2^32).  A drop is therefore seen once a later datagram arrives.
+  std::uint32_t kernel_drops() const noexcept { return drops_; }
 
   const std::string& last_error() const noexcept { return error_; }
 
  private:
   std::string error_;
+  std::uint32_t drops_ = 0;
 };
 
 class TcpStream : public Socket {
@@ -92,9 +143,6 @@ class TcpListener : public Socket {
   std::uint16_t local_port() const;
   /// Waits up to `timeout_ms` for a connection; nullopt on timeout/error.
   std::optional<TcpStream> accept(int timeout_ms);
-  /// True when a connection waits in the backlog (waiting up to
-  /// `timeout_ms` for one); it stays there until accept().
-  bool pending(int timeout_ms) const;
 
   const std::string& last_error() const noexcept { return error_; }
 

@@ -1,5 +1,7 @@
 #include "serve/daemon.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -40,7 +42,7 @@ util::MetricCounter& g_packets = util::metrics_counter("dnsbs.serve.packets");
 util::MetricCounter& g_bad_stamp = util::metrics_counter("dnsbs.serve.bad_stamp");
 
 constexpr std::size_t kStampHeader = 12;  // 8B LE seconds + 4B LE querier
-constexpr std::size_t kMaxDatagram = 65535;
+constexpr std::size_t kTcpBatchesPerRound = 256;
 constexpr int kPollMs = 100;
 
 std::uint64_t read_le64(const std::uint8_t* p) {
@@ -155,6 +157,10 @@ bool ServeDaemon::start(std::string& error) {
     error = "daemon already started";
     return false;
   }
+  if (!wake_.valid()) {
+    error = "eventfd failed";
+    return false;
+  }
   if (!udp_.bind(config_.bind, config_.udp_port)) {
     error = "udp bind: " + udp_.last_error();
     return false;
@@ -191,14 +197,15 @@ bool ServeDaemon::start(std::string& error) {
     ready << "udp=" << udp_port() << " tcp=" << tcp_port() << " status=" << status_port()
           << "\n";
   }
-  util::log_info("serve", util::format("listening udp=%u tcp=%u status=%u stamped=%s",
-                                       static_cast<unsigned>(udp_port()),
-                                       static_cast<unsigned>(tcp_port()),
-                                       static_cast<unsigned>(status_port()),
-                                       config_.stamped ? "yes" : "no"));
+  util::log_info("serve",
+                 util::format("listening udp=%u tcp=%u status=%u stamped=%s "
+                              "udp_rcvbuf_bytes=%zu",
+                              static_cast<unsigned>(udp_port()),
+                              static_cast<unsigned>(tcp_port()),
+                              static_cast<unsigned>(status_port()),
+                              config_.stamped ? "yes" : "no", udp_.receive_buffer_bytes()));
 
   started_ = true;
-  udp_thread_ = std::thread([this] { udp_loop(); });
   if (config_.tcp) tcp_thread_ = std::thread([this] { tcp_loop(); });
   status_thread_ = std::thread([this] { status_loop(); });
   drive_thread_ = std::thread([this] { drive_loop(); });
@@ -208,30 +215,12 @@ bool ServeDaemon::start(std::string& error) {
 void ServeDaemon::request_stop() {
   stop_.store(true);
   queue_.close();
+  wake_.signal();
 }
 
 void ServeDaemon::wait() {
-  for (std::thread* t : {&udp_thread_, &tcp_thread_, &status_thread_, &drive_thread_}) {
+  for (std::thread* t : {&tcp_thread_, &status_thread_, &drive_thread_}) {
     if (t->joinable()) t->join();
-  }
-}
-
-void ServeDaemon::udp_loop() {
-  std::vector<std::uint8_t> buf(kMaxDatagram);
-  while (!stop_.load()) {
-    net::DatagramSource source;
-    const auto n = udp_.recv_from(buf.data(), buf.size(), kPollMs, &source);
-    if (!n) continue;
-    g_udp.inc();
-    IntakeBatch batch;
-    batch.datagram.assign(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(*n));
-    batch.wall_secs = static_cast<std::int64_t>(::time(nullptr));
-    batch.source = source.addr;
-    queued_frames_.fetch_add(1);
-    if (!queue_.try_push(std::move(batch))) {
-      queued_frames_.fetch_sub(1);
-      g_dropped.inc();
-    }
   }
 }
 
@@ -286,6 +275,7 @@ void ServeDaemon::serve_tcp_connection(net::TcpStream stream) {
       queued_frames_.fetch_sub(frames);
       return;
     }
+    wake_.signal();
     // The drive thread reads only [0, end) of the queued buffer, so the
     // tail stays ours to copy; the next buffer may be that same one, once
     // it has been handed back.
@@ -328,7 +318,7 @@ std::future<std::string> ServeDaemon::submit_control(std::string command) {
     std::lock_guard<std::mutex> lock(control_mutex_);
     control_requests_.push_back(std::move(request));
   }
-  queue_.wake();
+  wake_.signal();
   return reply;
 }
 
@@ -442,7 +432,21 @@ void ServeDaemon::finish_trace() {
 }
 
 std::size_t ServeDaemon::pump_intake(int timeout_ms) {
-  const std::size_t n = queue_.pop_batch(batch_, 256, timeout_ms);
+  pollfd fds[2] = {{udp_.fd(), POLLIN, 0}, {wake_.fd(), POLLIN, 0}};
+  if (::poll(fds, 2, intake_backlog_ ? 0 : timeout_ms) > 0 &&
+      (fds[1].revents & POLLIN) != 0) {
+    // Cleared before the pop: a batch queued after it signals afresh.
+    wake_.clear();
+  }
+  const std::size_t tcp = pump_tcp();
+  const std::size_t udp = (fds[0].revents & POLLIN) != 0 ? pump_udp() : 0;
+  intake_backlog_ = tcp == kTcpBatchesPerRound || udp == kUdpSlabSlots;
+  return tcp + udp;
+}
+
+std::size_t ServeDaemon::pump_tcp() {
+  const std::size_t n = queue_.pop_batch(batch_, kTcpBatchesPerRound, 0);
+  if (n == 0) return 0;
   std::size_t frames = 0;
   for (const IntakeBatch& b : batch_) frames += b.frames;
   // Intake backlog watermark, in frames: what was just popped plus what
@@ -454,11 +458,25 @@ std::size_t ServeDaemon::pump_intake(int timeout_ms) {
   return n;
 }
 
-void ServeDaemon::process_batch(const IntakeBatch& batch) {
-  if (!batch.buffer) {
-    process_packet(batch.datagram, batch.wall_secs, batch.source);
-    return;
+std::size_t ServeDaemon::pump_udp() {
+  const std::size_t n = udp_.recv_batch(udp_slab_);
+  if (n == 0) return 0;
+  g_udp.add(n);
+  const std::uint32_t drops = udp_.kernel_drops();
+  if (drops != udp_drops_counted_) {
+    g_dropped.add(drops - udp_drops_counted_);  // modulo 2^32, as the kernel counts
+    udp_drops_counted_ = drops;
   }
+  // UDP's part of the backlog watermark: the datagrams this round drained.
+  driver_->note_queue_depth(n);
+  const auto wall_secs = static_cast<std::int64_t>(::time(nullptr));
+  for (std::size_t i = 0; i < n; ++i) {
+    process_packet(udp_slab_.datagram(i), wall_secs, udp_slab_.source(i));
+  }
+  return n;
+}
+
+void ServeDaemon::process_batch(const IntakeBatch& batch) {
   const std::uint8_t* data = batch.buffer.get();
   for (std::size_t at = 0; at < batch.frame_bytes;) {
     const std::size_t len = frame_length(data + at);
@@ -564,12 +582,16 @@ std::string ServeDaemon::handle_control(const std::string& command) {
 void ServeDaemon::drain_intake() {
   // Quiesce the intake path so the checkpoint captures every record the
   // senders consider delivered: keep processing while an intake
-  // connection is waiting or open or the queue is non-empty, and return
-  // at once when none holds.  Bounded patience (5 s of silence) so a
-  // stuck peer cannot wedge the control socket.
+  // connection is waiting or open, the queue is non-empty or a datagram
+  // is queued on the UDP socket, and return at once when none holds.
+  // Bounded patience (5 s of silence) so a stuck peer cannot wedge the
+  // control socket.
   int idle_rounds = 0;
   while (idle_rounds < 100) {
-    if (!tcp_listener_.pending(0) && tcp_active_.load() == 0 && queue_.size() == 0) break;
+    if (!tcp_listener_.pending(0) && tcp_active_.load() == 0 && queue_.size() == 0 &&
+        !udp_.pending(0)) {
+      break;
+    }
     if (pump_intake(50) > 0) {
       idle_rounds = 0;
     } else {
@@ -618,7 +640,8 @@ std::string ServeDaemon::stats_json() const {
       << ",\"windows_closed\":" << driver_->windows_closed()
       << ",\"late_records\":" << driver_->late_records()
       << ",\"history_windows\":" << driver_->telemetry().size()
-      << ",\"queue_depth\":" << queued_frames_.load() << ",\"capture\":{\"packets\":"
+      << ",\"queue_depth\":" << queued_frames_.load()
+      << ",\"udp_rcvbuf_bytes\":" << udp_.receive_buffer_bytes() << ",\"capture\":{\"packets\":"
       << capture_stats_.packets << ",\"accepted\":" << capture_stats_.accepted
       << ",\"malformed\":" << capture_stats_.malformed
       << ",\"responses\":" << capture_stats_.responses

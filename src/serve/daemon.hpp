@@ -1,24 +1,25 @@
 // The dnsbs_serve daemon: live DNS backscatter intake over real sockets.
 //
-// Layout (one process, four threads):
+// Layout (one process, three threads):
 //
-//   udp thread    recvfrom() -> one datagram per IntakeBatch -> try_push
-//                 (drop + count when full)
 //   tcp thread    accept(); one recv at a time into the connection's ring
 //                 of 4 receive buffers; every complete length-prefixed
 //                 frame in a buffer rides one IntakeBatch (blocking push,
-//                 lossless); an unfinished frame carries over to the next
-//                 buffer
+//                 lossless) and signals the drive thread's eventfd; an
+//                 unfinished frame carries over to the next buffer
 //   status thread accept(); line commands (STATS/HISTORY/TRACE/CHECKPOINT/
-//                 FLUSH/SHUTDOWN/PING) forwarded to the drive thread, which
-//                 they wake; reply written back.  The same socket answers
-//                 HTTP/1.1 GETs (/metrics, /healthz, /windows): the first
-//                 line of a connection picks the protocol.
-//   drive thread  pops batches, walks their frames in place, classifies
-//                 each via dns::record_from_packet, hands TCP buffers back
-//                 to their ring, offers records to the StreamingWindowDriver
-//                 (which owns window open/close against the
-//                 WindowedPipeline), services control requests,
+//                 FLUSH/SHUTDOWN/PING) forwarded to the drive thread, whose
+//                 eventfd they signal; reply written back.  The same socket
+//                 answers HTTP/1.1 GETs (/metrics, /healthz, /windows): the
+//                 first line of a connection picks the protocol.
+//   drive thread  one poll() on the UDP socket and the eventfd; drains the
+//                 socket with recvmmsg into a fixed slab (one slab per
+//                 round, one ::time() per recvmmsg), pops TCP batches, walks
+//                 every datagram and frame in place, classifies each via
+//                 dns::record_from_packet, hands TCP buffers back to their
+//                 ring, offers records to the StreamingWindowDriver (which
+//                 owns window open/close against the WindowedPipeline),
+//                 and between rounds services control requests,
 //                 checkpoints, starts/stops timed trace captures
 //                 (TRACE <secs>)
 //
@@ -26,6 +27,8 @@
 //                    |  IntakeBatch{frames in place}        ^
 //                    v                                      | hand back
 //                BoundedQueue --pop_batch--> drive thread --+
+//                                                 ^
+//   sender --> kernel receive buffer --recvmmsg---+  [slot 0..63]
 //
 // Plus a shared util::JobSystem (the async window pipeline) with serial
 // queues on one small worker pool:
@@ -52,10 +55,13 @@
 // window's stats come from its own sensor, so a replayed stream produces
 // byte-identical windows in both --async-windows modes (see
 // analysis/streaming.hpp).
-// In-flight TCP bytes are bounded per connection by its ring; the queue
-// depth (STATS queue_depth, HISTORY queue_depth_peak) counts frames, not
-// batches.
-// Socket-side tallies (datagrams seen, queue drops, frames) and the
+// In-flight TCP bytes are bounded per connection by its ring; STATS
+// queue_depth counts queued TCP frames, not batches.  UDP's stall absorber
+// is the kernel receive buffer (STATS udp_rcvbuf_bytes); what overflows it
+// the kernel drops and reports (SO_RXQ_OVFL), counted in
+// dnsbs.serve.queue_dropped.  HISTORY queue_depth_peak is the larger of
+// the queued TCP frames and the biggest recvmmsg batch.
+// Socket-side tallies (datagrams seen, kernel drops, frames) and the
 // dnsbs.serve.jobs.* queue gauges are sched-flagged: they depend on kernel
 // timing, not on the stream.  Control verbs that read shared state (STATS,
 // HISTORY, /metrics, FLUSH, CHECKPOINT) quiesce the queues first, so their
@@ -102,7 +108,7 @@ struct ServeConfig {
   std::uint16_t tcp_port = 0;     ///< 0 = ephemeral
   std::uint16_t status_port = 0;  ///< control socket; 0 = ephemeral
   bool stamped = false;           ///< replay framing (see header comment)
-  std::size_t queue_capacity = 65536;
+  std::size_t queue_capacity = 65536;  ///< TCP batches queued for the drive thread
   /// Worker threads of the shared job system (close/export queues).
   /// Output is byte-identical for any value — the queues are serial; more
   /// workers only add queue-to-queue overlap.
@@ -149,6 +155,10 @@ class ServeDaemon {
   static constexpr std::size_t kTcpReadBytes = 65536;
   static constexpr std::size_t kTcpBufferBytes = 2 + 65535 + kTcpReadBytes;
   static constexpr std::size_t kTcpRingBuffers = 4;
+  /// UDP intake: one slab of kUdpSlabSlots slots, each larger than the
+  /// 65,535-byte datagram maximum, drained by one recvmmsg per round.
+  static constexpr std::size_t kUdpSlabSlots = 64;
+  static constexpr std::size_t kUdpSlotBytes = 65536;
 
  private:
   /// One TCP connection's receive buffers; defined in daemon.cpp.
@@ -160,37 +170,38 @@ class ServeDaemon {
     void operator()(std::uint8_t* buffer) const;
   };
   using TcpBuffer = std::unique_ptr<std::uint8_t, BufferRelease>;
-  /// One intake queue item: a UDP datagram, or every complete
-  /// length-prefixed frame ([u16 BE length][payload]...) of one TCP
-  /// receive buffer, walked in place.
+  /// One intake queue item: every complete length-prefixed frame
+  /// ([u16 BE length][payload]...) of one TCP receive buffer, walked in
+  /// place.  UDP never queues: the drive thread reads its socket.
   struct IntakeBatch {
-    std::vector<std::uint8_t> datagram;  ///< UDP: the packet
-    TcpBuffer buffer;                    ///< TCP: frames at [0, frame_bytes)
+    TcpBuffer buffer;  ///< frames at [0, frame_bytes)
     std::size_t frame_bytes = 0;
-    std::size_t frames = 1;
-    std::int64_t wall_secs = 0;          ///< one ::time() per batch
-    net::IPv4Addr source;                ///< UDP sender
+    std::size_t frames = 0;
+    std::int64_t wall_secs = 0;  ///< one ::time() per batch
   };
   struct ControlRequest {
     std::string command;
     std::promise<std::string> reply;
   };
 
-  void udp_loop();
   void tcp_loop();
   void serve_tcp_connection(net::TcpStream stream);
   void status_loop();
   void handle_http(net::TcpStream& stream, const std::string& request_line);
   std::future<std::string> submit_control(std::string command);
   void drive_loop();
-  /// Classifies every frame of a batch and offers the records.
+  /// Classifies every frame of a TCP batch and offers the records.
   void process_batch(const IntakeBatch& batch);
   void process_packet(std::span<const std::uint8_t> payload, std::int64_t wall_secs,
                       net::IPv4Addr source);
-  /// Pops up to 256 batches (waiting up to `timeout_ms` for the first),
-  /// processes them and hands their TCP buffers back; returns the number
-  /// of batches.
+  /// One intake round: waits up to `timeout_ms` in one poll() on the UDP
+  /// socket and the eventfd (not at all while the last round left work
+  /// behind), then processes up to 256 TCP batches, handing their buffers
+  /// back, and at most one slab of datagrams.  Returns the batches plus
+  /// datagrams processed.
   std::size_t pump_intake(int timeout_ms);
+  std::size_t pump_tcp();
+  std::size_t pump_udp();
   void service_control();
   std::string handle_control(const std::string& command);
   std::string stats_json() const;
@@ -221,12 +232,19 @@ class ServeDaemon {
   util::JobSystem::QueueId export_queue_ = 0;
   std::unique_ptr<analysis::WindowedPipeline> pipeline_;
   std::unique_ptr<analysis::StreamingWindowDriver> driver_;
+  /// TCP batches; `--queue N` bounds it.
   BoundedQueue<IntakeBatch> queue_;
   /// Frames pushed and not yet processed: the queue depth in records.
   std::atomic<std::size_t> queued_frames_{0};
   std::vector<IntakeBatch> batch_;  ///< drive thread's pop buffer
+  /// Signalled per queued TCP batch, per control request and on stop.
+  net::EventFd wake_;
+  /// The last round filled its TCP pop or its slab: poll without waiting.
+  bool intake_backlog_ = false;
 
   net::UdpSocket udp_;
+  net::DatagramSlab udp_slab_{kUdpSlabSlots, kUdpSlotBytes};  ///< drive thread only
+  std::uint32_t udp_drops_counted_ = 0;  ///< kernel drops already in queue_dropped
   net::TcpListener tcp_listener_;
   net::TcpListener status_listener_;
 
@@ -235,7 +253,6 @@ class ServeDaemon {
   std::mutex control_mutex_;
   std::vector<std::unique_ptr<ControlRequest>> control_requests_;
 
-  std::thread udp_thread_;
   std::thread tcp_thread_;
   std::thread status_thread_;
   std::thread drive_thread_;

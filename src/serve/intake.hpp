@@ -1,10 +1,10 @@
 // Bounded MPSC-ish handoff between socket threads and the drive thread.
 //
-// Backpressure policy is per-transport, chosen by the caller: UDP intake
-// uses try_push (a full queue drops the datagram and counts it — exactly
-// what the kernel would do anyway), TCP intake uses the blocking push so
-// the peer's send window stalls instead (lossless replay).  A closed
-// queue rejects producers and lets the consumer drain what's left.
+// Backpressure policy is chosen by the caller: try_push drops when the
+// queue is full (the caller counts the drop), the blocking push waits for
+// space — TCP intake uses it, so a slow consumer stalls the peer's send
+// window instead (lossless replay).  A closed queue rejects producers and
+// lets the consumer drain what's left.
 #pragma once
 
 #include <condition_variable>
@@ -46,14 +46,13 @@ class BoundedQueue {
 
   /// Moves up to `max_items` into `out` (appended), waiting up to
   /// `timeout_ms` for the first one.  Returns the number appended; 0 on
-  /// timeout, after a wake(), or on a closed-and-drained queue.
+  /// timeout or on a closed-and-drained queue.
   std::size_t pop_batch(std::vector<T>& out, std::size_t max_items, int timeout_ms) {
     std::unique_lock<std::mutex> lock(mutex_);
     if (items_.empty()) {
       not_empty_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                          [this] { return closed_ || woken_ || !items_.empty(); });
+                          [this] { return closed_ || !items_.empty(); });
     }
-    woken_ = false;
     std::size_t moved = 0;
     while (moved < max_items && !items_.empty()) {
       out.push_back(std::move(items_.front()));
@@ -62,17 +61,6 @@ class BoundedQueue {
     }
     if (moved > 0) not_full_.notify_all();
     return moved;
-  }
-
-  /// Ends the consumer's current (or next) pop_batch wait early without
-  /// pushing anything: the consumer has other work, e.g. a control
-  /// request.
-  void wake() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      woken_ = true;
-    }
-    not_empty_.notify_all();
   }
 
   /// Rejects future producers and wakes everyone; consumers can still
@@ -103,7 +91,6 @@ class BoundedQueue {
   std::condition_variable not_full_;
   std::deque<T> items_;
   bool closed_ = false;
-  bool woken_ = false;
 };
 
 }  // namespace dnsbs::serve

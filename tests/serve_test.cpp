@@ -2,13 +2,16 @@
 // queue, StreamingWindowDriver vs the batch pipeline as an oracle, the
 // checkpoint/restore byte-identity contract, loopback integration runs
 // of the full ServeDaemon (sockets, stamped framing, control protocol),
-// and the buffered TCP intake's framing and backpressure.
+// the buffered TCP intake's framing and backpressure, and UDP intake on
+// the drive thread (kernel buffering, drop accounting, control under a
+// flood).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -1585,14 +1588,18 @@ std::vector<std::uint8_t> framed(const std::vector<std::uint8_t>& payload) {
   return out;
 }
 
-/// The frame carrying `r` as a stamped PTR query, its payload padded with
-/// trailing zeros to `payload_bytes` (trailing bytes do not change how a
-/// query classifies).
-std::vector<std::uint8_t> record_frame(const QueryRecord& r, std::size_t payload_bytes = 0) {
+/// `r` as a stamped PTR query, padded with trailing zeros to
+/// `payload_bytes` (trailing bytes do not change how a query classifies).
+std::vector<std::uint8_t> record_payload(const QueryRecord& r, std::size_t payload_bytes = 0) {
   auto payload = stamped_payload(r.time.secs(), r.querier,
                                  dns::make_ptr_query_packet(7, r.originator));
   if (payload.size() < payload_bytes) payload.resize(payload_bytes, 0);
-  return framed(payload);
+  return payload;
+}
+
+/// The frame carrying record_payload(r, payload_bytes).
+std::vector<std::uint8_t> record_frame(const QueryRecord& r, std::size_t payload_bytes = 0) {
+  return framed(record_payload(r, payload_bytes));
 }
 
 /// `windows` 100-second windows of traffic, `queriers` per originator.
@@ -1658,6 +1665,24 @@ std::string ask(net::TcpStream& control, const std::string& cmd) {
   auto reply = control.read_line(30000, std::size_t{1} << 20);
   EXPECT_TRUE(reply.has_value()) << cmd;
   return reply.value_or("");
+}
+
+/// The number after `"key":` in a JSON reply (the first occurrence).
+std::uint64_t json_number(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = json.find(needle);
+  return at == std::string::npos ? 0 : std::stoull(json.substr(at + needle.size()));
+}
+
+/// The largest queue_depth_peak over the HISTORY reply's windows.
+std::uint64_t history_queue_peak(const std::string& history) {
+  std::uint64_t peak = 0;
+  const std::string key = "\"queue_depth_peak\":";
+  for (std::size_t at = history.find(key); at != std::string::npos;
+       at = history.find(key, at + 1)) {
+    peak = std::max<std::uint64_t>(peak, std::stoull(history.substr(at + key.size())));
+  }
+  return peak;
 }
 
 /// A daemon counter (registered by daemon.cpp, whose flags win).
@@ -1753,7 +1778,7 @@ TEST(TcpIntake, FramingCasesMatchSyncDriverByteForByte) {
 
 /// Resolves as CategoryResolver does, but holds the calling thread while
 /// the gate is shut.  In sync mode that thread is the drive thread, in
-/// the middle of a window close.
+/// the middle of a window close.  shut() re-arms a gate that was opened.
 class GatedResolver final : public core::QuerierResolver {
  public:
   core::QuerierInfo resolve(IPv4Addr querier) const override {
@@ -1771,6 +1796,11 @@ class GatedResolver final : public core::QuerierResolver {
     std::lock_guard<std::mutex> lock(mutex_);
     open_ = true;
     changed_.notify_all();
+  }
+  void shut() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = false;
+    entered_ = false;
   }
 
  private:
@@ -1850,16 +1880,189 @@ TEST(TcpIntake, StalledDriveHoldsConnectionAtItsBufferLimitWithoutLoss) {
   // The queue depth counts frames: once the gate opened, the queued
   // buffers held every frame read during the stall.
   const std::string history = ask(*control, "HISTORY");
-  std::uint64_t peak = 0;
-  const std::string key = "\"queue_depth_peak\":";
-  for (std::size_t at = history.find(key); at != std::string::npos;
-       at = history.find(key, at + 1)) {
-    peak = std::max<std::uint64_t>(peak, std::stoull(history.substr(at + key.size())));
-  }
-  EXPECT_GE(peak, read) << history;
+  EXPECT_GE(history_queue_peak(history), read) << history;
   EXPECT_EQ(ask(*control, "SHUTDOWN"), "OK shutting down");
   daemon.wait();
   EXPECT_EQ(slurp_file(windows_out), sync_summaries(records));
+}
+
+// ---- UDP intake on the drive thread ------------------------------------
+
+/// Polls STATS until the drive thread has classified `packets` packets.
+bool wait_for_packets(net::TcpStream& control, std::uint64_t packets) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (json_number(ask(control, "STATS"), "packets") >= packets) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+TEST(UdpIntake, StampedReplayMatchesSyncDriverByteForByte) {
+  Dbs dbs;
+  const CategoryResolver resolver;
+  const std::string windows_out = ::testing::TempDir() + "udp_replay.txt";
+  std::remove(windows_out.c_str());
+  serve::ServeDaemon daemon(framing_config(windows_out), dbs.as_db, dbs.geo_db, resolver);
+  std::string error;
+  ASSERT_TRUE(daemon.start(error)) << error;
+
+  const std::vector<QueryRecord> records = framing_records(0, 3, 8);
+  net::UdpSocket sender;
+  for (const QueryRecord& r : records) {
+    const auto d = record_payload(r);
+    ASSERT_TRUE(sender.send_to("127.0.0.1", daemon.udp_port(), d.data(), d.size()));
+  }
+  auto control = net::TcpStream::connect("127.0.0.1", daemon.status_port());
+  ASSERT_TRUE(control.has_value());
+  ASSERT_TRUE(wait_for_packets(*control, records.size()));
+  EXPECT_EQ(ask(*control, "FLUSH"), "OK flushed");
+  EXPECT_EQ(json_number(ask(*control, "STATS"), "packets"), records.size());
+  EXPECT_EQ(ask(*control, "SHUTDOWN"), "OK shutting down");
+  daemon.wait();
+  const std::string got = slurp_file(windows_out);
+  ASSERT_NE(got.find("window 2 "), std::string::npos);
+  EXPECT_EQ(got, sync_summaries(records));
+}
+
+TEST(UdpIntake, StalledDriveBuffersInKernelAndCountsDrops) {
+#if !DNSBS_METRICS_ENABLED
+  GTEST_SKIP() << "reads dnsbs.serve.udp_datagrams and queue_dropped, no-ops without metrics";
+#endif
+  Dbs dbs;
+  const GatedResolver resolver;
+  const std::string windows_out = ::testing::TempDir() + "udp_stalled.txt";
+  std::remove(windows_out.c_str());
+  serve::ServeDaemon daemon(framing_config(windows_out), dbs.as_db, dbs.geo_db, resolver);
+  struct OpenOnExit {
+    const GatedResolver& gate;
+    ~OpenOnExit() { gate.open(); }
+  } open_on_exit{resolver};
+  std::string error;
+  ASSERT_TRUE(daemon.start(error)) << error;
+  auto control = net::TcpStream::connect("127.0.0.1", daemon.status_port());
+  ASSERT_TRUE(control.has_value());
+  const std::uint64_t rcvbuf = json_number(ask(*control, "STATS"), "udp_rcvbuf_bytes");
+  ASSERT_GT(rcvbuf, 0u);
+
+  const std::uint64_t received_before = counter_value("dnsbs.serve.udp_datagrams");
+  const std::uint64_t dropped_before = counter_value("dnsbs.serve.queue_dropped");
+  const auto received = [&] {
+    return counter_value("dnsbs.serve.udp_datagrams") - received_before;
+  };
+  const auto dropped = [&] {
+    return counter_value("dnsbs.serve.queue_dropped") - dropped_before;
+  };
+  net::UdpSocket sender;
+  std::uint64_t sent = 0;
+  const auto send = [&](const std::vector<std::uint8_t>& d) {
+    EXPECT_TRUE(sender.send_to("127.0.0.1", daemon.udp_port(), d.data(), d.size()));
+    ++sent;
+  };
+
+  // Window 0, then one record of window 1: closing window 0 resolves its
+  // queriers and the drive thread stops in the gate.
+  std::vector<QueryRecord> records = framing_records(0, 1, 8);
+  records.push_back(rec(100, addr(10, 0, 0, 0), addr(192, 0, 2, 0)));
+  for (const QueryRecord& r : records) send(record_payload(r));
+  ASSERT_TRUE(resolver.wait_entered());
+
+  // The kernel charges each datagram its buffer footprint (under 1 KiB
+  // for these ~60-byte payloads on loopback), so one datagram per 4 KiB
+  // of the granted buffer fits with room to spare.
+  const int queriers = static_cast<int>(std::clamp<std::uint64_t>(rcvbuf / 4096 / 8, 1, 256));
+  const std::vector<QueryRecord> burst = framing_records(1, 2, queriers);
+  for (const QueryRecord& r : burst) send(record_payload(r));
+  // A STATS queued during the stall is answered after at most one more
+  // slab, long before the kernel's backlog drains.
+  const std::string stats_line = "STATS\n";
+  ASSERT_TRUE(control->write_all(stats_line.data(), stats_line.size()));
+  const std::uint64_t at_stall = received();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(received(), at_stall) << "nothing but the stalled drive thread reads the socket";
+
+  resolver.open();
+  const auto stalled_stats = control->read_line(30000, std::size_t{1} << 20);
+  ASSERT_TRUE(stalled_stats.has_value());
+  EXPECT_LE(json_number(*stalled_stats, "packets"),
+            at_stall + serve::ServeDaemon::kUdpSlabSlots);
+  records.insert(records.end(), burst.begin(), burst.end());
+  EXPECT_EQ(ask(*control, "FLUSH"), "OK flushed");
+  EXPECT_EQ(json_number(ask(*control, "STATS"), "packets"), records.size())
+      << "the kernel held every datagram of the stall";
+  EXPECT_EQ(received(), sent);
+  EXPECT_EQ(dropped(), 0u);
+  // Drained after the stall, the burst filled whole slabs.
+  if (burst.size() >= serve::ServeDaemon::kUdpSlabSlots) {
+    EXPECT_EQ(history_queue_peak(ask(*control, "HISTORY")), serve::ServeDaemon::kUdpSlabSlots);
+  }
+
+  // Stall again (new queriers, so the close resolves), then send more
+  // payload bytes than the buffer holds: every datagram costs the buffer
+  // more than its payload, so some must drop.
+  resolver.shut();
+  for (int o = 0; o < 4; ++o) {
+    for (int q = 0; q < 8; ++q) {
+      send(record_payload(rec(500 + q, addr(10, 1, q, o), addr(192, 0, 2, o))));
+    }
+  }
+  send(record_payload(rec(600, addr(10, 1, 0, 0), addr(192, 0, 2, 0))));
+  ASSERT_TRUE(resolver.wait_entered());
+  constexpr std::size_t kPayloadBytes = 512;
+  const auto overrun =
+      record_payload(rec(650, addr(10, 1, 9, 9), addr(192, 0, 2, 1)), kPayloadBytes);
+  for (std::uint64_t i = 0; i <= rcvbuf / kPayloadBytes; ++i) send(overrun);
+  resolver.open();
+  EXPECT_EQ(ask(*control, "FLUSH"), "OK flushed");
+  // The kernel reports drops with the next datagram it queues.
+  send(overrun);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (received() + dropped() < sent && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(dropped(), 0u);
+  EXPECT_EQ(received() + dropped(), sent);
+}
+
+TEST(UdpIntake, ControlAnsweredWhileUdpFloods) {
+  Dbs dbs;
+  const CategoryResolver resolver;
+  serve::ServeDaemon daemon(framing_config(""), dbs.as_db, dbs.geo_db, resolver);
+  std::string error;
+  ASSERT_TRUE(daemon.start(error)) << error;
+  auto control = net::TcpStream::connect("127.0.0.1", daemon.status_port());
+  ASSERT_TRUE(control.has_value());
+
+  // Window 0 only, from a few queriers: dedup absorbs the repeats, so the
+  // flood costs the drive thread intake work without growing its state.
+  std::vector<std::vector<std::uint8_t>> flood;
+  for (const QueryRecord& r : framing_records(0, 1, 16)) flood.push_back(record_payload(r));
+  std::atomic<bool> done{false};
+  std::vector<std::thread> senders;
+  for (int t = 0; t < 2; ++t) {
+    senders.emplace_back([&] {
+      net::UdpSocket udp;
+      while (!done.load()) {
+        for (const auto& d : flood) udp.send_to("127.0.0.1", daemon.udp_port(), d.data(), d.size());
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string cmd : {"PING", "STATS"}) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const std::string reply = ask(*control, cmd);
+      const auto waited = std::chrono::steady_clock::now() - t0;
+      EXPECT_LT(waited, std::chrono::seconds(2)) << cmd << " starved by the flood";
+      if (cmd == "PING") {
+        EXPECT_EQ(reply, "PONG");
+      } else {
+        EXPECT_GT(json_number(reply, "packets"), 0u) << reply;
+      }
+    }
+  }
+  done.store(true);
+  for (std::thread& t : senders) t.join();
 }
 
 // ---- HTTP scrape surface + HISTORY/TRACE verbs -------------------------

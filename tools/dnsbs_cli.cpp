@@ -119,7 +119,8 @@ int usage() {
       "  --stamped           payloads carry [8B secs][4B querier] replay stamps\n"
       "  --window SECS       window width (default 86400)\n"
       "  --hop SECS          hop between window starts (default = window)\n"
-      "  --queue N           intake queue capacity (default 65536)\n"
+      "  --queue N           TCP intake queue capacity in receive buffers (default\n"
+      "                      65536); UDP waits in the kernel's receive buffer\n"
       "  --checkpoint FILE   checkpoint target (CHECKPOINT command / cadence)\n"
       "  --restore           load --checkpoint FILE before starting\n"
       "  --checkpoint-every SECS  stream-time checkpoint cadence\n"

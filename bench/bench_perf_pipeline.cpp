@@ -19,13 +19,12 @@
 //                                                  speedup on each axis
 //   --features                                     feature-extraction scenario
 //                                                  instead of the end-to-end one:
-//                                                  high-footprint multi-window
-//                                                  workload with configurable
-//                                                  churn, measuring cold and
-//                                                  churn extraction rates against
+//                                                  high-footprint workload,
+//                                                  measuring the cold extraction
+//                                                  rate against
 //                                                  BENCH_perf_features.json
 //                                                  (knobs: --originators
-//                                                  --queriers --windows --churn)
+//                                                  --queriers --windows)
 //   --merge                                        federated N-sensor merge
 //                                                  scenario: shard-ingest a
 //                                                  1M+-originator synthetic
@@ -221,22 +220,13 @@ class FeatureBenchResolver final : public core::QuerierResolver {
 };
 
 /// --features: the feature-extraction scenario behind the
-/// BENCH_perf_features.json gate.  A high-footprint multi-window workload,
-/// extracted the way the daemon closes windows: one fresh sensor per
-/// window, every sensor on one shared feature cache, one extraction each.
-/// Ingest time is excluded from every timed region.
-///
-///   * cold:  window 0 seeds every originator, every persistence bucket
-///            and every AS/country the run will ever see; its extraction
-///            computes all rows from an empty cache.
-///   * churn: each later window repeats the earlier traffic and adds new
-///            queriers for a --churn fraction of originators, drawn from
-///            the existing address space and time range, so interval
-///            normalizers hold still: the churned rows recompute and the
-///            rest are reused from the cache.
+/// BENCH_perf_features.json gate.  A high-footprint workload spanning
+/// --windows hours, extracted the way the daemon closes a window: one
+/// fresh sensor on an empty shared feature cache, one extraction, which
+/// interns every querier and computes every row (cold).  Ingest time is
+/// excluded from the timed region.
 int run_features(int argc, char** argv) {
   const bool smoke = arg_flag(argc, argv, "--smoke");
-  const std::uint64_t seed = arg_seed(argc, argv, 7);
   const int repeat =
       smoke ? 1 : std::max(1, std::atoi(arg_str(argc, argv, "--repeat", "3").c_str()));
   const std::size_t threads = static_cast<std::size_t>(
@@ -247,20 +237,16 @@ int run_features(int argc, char** argv) {
       std::atoi(arg_str(argc, argv, "--queriers", smoke ? "48" : "400").c_str()));
   const std::size_t windows = static_cast<std::size_t>(
       std::atoi(arg_str(argc, argv, "--windows", smoke ? "3" : "6").c_str()));
-  const double churn = std::atof(arg_str(argc, argv, "--churn", "0.05").c_str());
   const std::string json_path = arg_str(argc, argv, "--json", "");
   const std::string check_path = arg_str(argc, argv, "--check", "");
   const std::string baseline_path = arg_str(argc, argv, "--baseline", "");
 
-  print_header("perf_features",
-               "§III feature extraction (columnar SoA + carry-forward cache)",
-               util::format("originators=%zu queriers=%zu windows=%zu churn=%.3f "
-                            "seed=%llu threads=%zu repeat=%d",
-                            originators, queriers, windows, churn,
-                            static_cast<unsigned long long>(seed), threads, repeat));
+  print_header("perf_features", "§III feature extraction (columnar SoA, cold cache)",
+               util::format("originators=%zu queriers=%zu windows=%zu threads=%zu repeat=%d",
+                            originators, queriers, windows, threads, repeat));
 
   // Sixteen /16s, one AS and one country each; querier addresses hash into
-  // this space so window 0 already exposes every AS/CC the run uses.
+  // this space.
   netdb::AsDb as_db;
   netdb::GeoDb geo_db;
   for (int i = 0; i < 16; ++i) {
@@ -270,102 +256,49 @@ int run_features(int argc, char** argv) {
   }
   const FeatureBenchResolver resolver;
 
-  // All timestamps live in [0, horizon) and window 0 sweeps the whole
-  // range, so later windows never mint a new persistence bucket (a new
-  // bucket would shift the interval normalizer and force every row to
-  // recompute — that regime is the cold axis, not the churn axis).
   const std::uint64_t horizon = static_cast<std::uint64_t>(windows) * 3600;
   const std::size_t space =
       std::min<std::size_t>(originators * queriers, std::size_t{16} << 16);
-  const auto querier_addr = [&](std::size_t v) {
-    return net::IPv4Addr((10u << 24) | static_cast<std::uint32_t>(v % space));
-  };
-  const auto originator_addr = [](std::size_t o) {
-    return net::IPv4Addr((172u << 24) | static_cast<std::uint32_t>(o));
-  };
-  const auto by_time = [](const dns::QueryRecord& a, const dns::QueryRecord& b) {
-    return a.time < b.time;
-  };
-
-  std::vector<std::vector<dns::QueryRecord>> window_records(windows);
-  window_records[0].reserve(originators * queriers);
+  std::vector<dns::QueryRecord> records;
+  records.reserve(originators * queriers);
   for (std::size_t o = 0; o < originators; ++o) {
     for (std::size_t q = 0; q < queriers; ++q) {
       const std::uint64_t t = (q * horizon) / queriers + (o % 37);
-      window_records[0].push_back({util::SimTime::seconds(static_cast<std::int64_t>(t)),
-                                   querier_addr(o * queriers + q), originator_addr(o),
-                                   dns::RCode::kNoError});
+      const auto querier = static_cast<std::uint32_t>((o * queriers + q) % space);
+      records.push_back({util::SimTime::seconds(static_cast<std::int64_t>(t)),
+                         net::IPv4Addr((10u << 24) | querier),
+                         net::IPv4Addr((172u << 24) | static_cast<std::uint32_t>(o)),
+                         dns::RCode::kNoError});
     }
   }
-  std::stable_sort(window_records[0].begin(), window_records[0].end(), by_time);
-  constexpr std::size_t kChurnQueriers = 8;
-  for (std::size_t w = 1; w < windows; ++w) {
-    auto& out = window_records[w];
-    for (std::size_t o = 0; o < originators; ++o) {
-      // Deterministic ~churn fraction per window, varied by the seed.
-      const std::uint64_t pick = ((o * 2654435761ull) ^ (w * 40503ull) ^ seed) % 1000;
-      if (static_cast<double>(pick) >= churn * 1000.0) continue;
-      for (std::size_t j = 0; j < kChurnQueriers; ++j) {
-        // A querier from another originator's base range: new to this
-        // originator (marking it dirty) yet inside the seen AS/CC space.
-        const std::size_t v =
-            o * queriers + (w + j + 1) * queriers + (o * 7 + w * 131 + j * 17) % queriers;
-        const std::uint64_t t = (o * 97 + j * 131 + w * 53) % horizon;
-        out.push_back({util::SimTime::seconds(static_cast<std::int64_t>(t)),
-                       querier_addr(v), originator_addr(o), dns::RCode::kNoError});
-      }
-    }
-    std::stable_sort(out.begin(), out.end(), by_time);
-  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const dns::QueryRecord& a, const dns::QueryRecord& b) {
+                     return a.time < b.time;
+                   });
 
   core::SensorConfig cfg;
   cfg.threads = threads;
   cfg.top_n = 0;  // keep every analyzable originator: rows == originators
 
-  double cold_best = 0.0, churn_best = 0.0;
+  double cold_best = 0.0;
   std::size_t rows = 0;
   for (int r = 0; r < repeat; ++r) {
-    const auto cache = std::make_shared<core::FeatureExtractionCache>();
-    double churn_secs = 0.0;
-    std::size_t churn_rows = 0;
-    for (std::size_t w = 0; w < windows; ++w) {
-      // Window w's sensor holds window 0's traffic plus the churn of
-      // windows 1..w, ingested batch by batch.
-      core::Sensor sensor(cfg, as_db, geo_db, resolver);
-      sensor.set_feature_cache(cache);
-      for (std::size_t b = 0; b <= w; ++b) sensor.ingest_all(window_records[b]);
-      const auto t0 = Clock::now();
-      const std::size_t n = sensor.extract_features().size();
-      const double secs = seconds_since(t0);
-      if (w == 0) {
-        rows = n;
-        cold_best = std::max(cold_best, static_cast<double>(rows) / secs);
-        if (rows != originators) std::abort();  // every originator must be analyzable
-      } else {
-        churn_secs += secs;
-        churn_rows += n;
-        if (n != rows) std::abort();
-      }
-    }
-    if (windows > 1) {
-      churn_best =
-          std::max(churn_best, static_cast<double>(churn_rows) / churn_secs);
-    }
+    core::Sensor sensor(cfg, as_db, geo_db, resolver);
+    sensor.set_feature_cache(std::make_shared<core::FeatureExtractionCache>());
+    sensor.ingest_all(records);
+    const auto t0 = Clock::now();
+    rows = sensor.extract_features().size();
+    cold_best = std::max(cold_best, static_cast<double>(rows) / seconds_since(t0));
+    if (rows != originators) std::abort();  // every originator must be analyzable
   }
 
   const long rss_kb = peak_rss_kb();
   const auto snapshot = util::metrics_snapshot();
-  const Axis axes[] = {
-      {"features_cold_rows_per_s", cold_best},
-      {"features_churn_rows_per_s", churn_best},
-  };
+  const Axis axes[] = {{"features_cold_rows_per_s", cold_best}};
 
-  std::printf("rows               %zu per extraction (%zu windows)\n", rows, windows);
+  std::printf("rows               %zu per extraction\n", rows);
   std::printf("cold               %.0f rows/s\n", cold_best);
-  std::printf("churn              %.0f rows/s\n", churn_best);
-  std::printf("reused/recomputed  %lld / %lld (queriers interned %lld)\n",
-              static_cast<long long>(snapshot.scalar("dnsbs.features.rows_reused")),
-              static_cast<long long>(snapshot.scalar("dnsbs.features.rows_recomputed")),
+  std::printf("queriers interned  %lld\n",
               static_cast<long long>(snapshot.scalar("dnsbs.cache.interner.queriers")));
   std::printf("peak RSS           %ld kB\n", rss_kb);
 
@@ -373,15 +306,12 @@ int run_features(int argc, char** argv) {
     std::ofstream os(json_path);
     os << "{\n"
        << "  \"bench\": \"perf_features\",\n"
-       << "  \"seed\": " << seed << ",\n"
        << "  \"originators\": " << originators << ",\n"
        << "  \"queriers\": " << queriers << ",\n"
        << "  \"windows\": " << windows << ",\n"
-       << "  \"churn\": " << churn << ",\n"
        << "  \"threads\": " << threads << ",\n"
        << "  \"rows\": " << rows << ",\n"
        << "  \"features_cold_rows_per_s\": " << cold_best << ",\n"
-       << "  \"features_churn_rows_per_s\": " << churn_best << ",\n"
        << "  \"peak_rss_kb\": " << rss_kb << ",\n"
        << "  \"metrics\": " << snapshot.to_json();
     if (!baseline_path.empty()) append_baseline(os, baseline_path, axes);

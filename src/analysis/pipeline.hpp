@@ -32,12 +32,11 @@ struct WindowedPipelineConfig {
   std::size_t min_per_class = 2;
   std::uint64_t seed = 1;
   /// Share one feature-extraction cache across windows: querier identities
-  /// are resolved once for the whole run and originators whose flattened
-  /// querier histograms (and window normalizers) repeat reuse their prior
-  /// rows.  Rows stay byte-identical to independent per-window extraction
-  /// as long as the resolver and AS/geo databases are stable over the run
-  /// (the simulator's naming model is); disable when reverse names drift
-  /// between windows, e.g. live resolvers with changing PTR data.
+  /// are resolved once for the whole run.  Rows stay byte-identical to
+  /// independent per-window extraction as long as the resolver and AS/geo
+  /// databases are stable over the run (the simulator's naming model is);
+  /// disable when reverse names drift between windows, e.g. live resolvers
+  /// with changing PTR data.
   bool carry_forward = true;
   /// Keep at most this many windows of results/observations in memory
   /// (0 = unlimited).  Long-running daemons set this: WindowResult.index

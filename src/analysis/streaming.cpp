@@ -22,7 +22,8 @@ constexpr char kMagic[8] = {'D', 'N', 'S', 'B', 'S', 'C', 'K', 'P'};
 //     window stats come from the window's own state, not the registry.
 // v5: aggregates and feature-cache rows lost their modification stamps
 //     and the cache its interval serial.
-constexpr std::uint32_t kVersion = 5;
+// v6: the feature cache lost its row section; it is the querier interner.
+constexpr std::uint32_t kVersion = 6;
 
 // All three are deterministic: window opens/closes and lateness are pure
 // functions of the record timestamp stream.

@@ -91,8 +91,6 @@ struct OriginatorAggregate {
   util::SimTime first_seen{};
   util::SimTime last_seen{};
   /// Admitted records folded into this aggregate (merge sums both sides).
-  /// The feature cache compares it, with the flattened histogram, to
-  /// decide whether a cached row still holds (feature_engine.hpp).
   std::uint64_t total_queries = 0;
 
   bool promoted() const noexcept { return sketch != nullptr; }

@@ -115,20 +115,6 @@ bool column_below(const std::vector<std::uint32_t>& column, std::uint64_t end) {
                      [end](std::uint32_t v) { return v < end; });
 }
 
-// Loaders never reserve() a count read from the image: the columns grow
-// only as bytes actually arrive, and stop at the first failed read, so a
-// corrupt length costs what the stream holds, not what it claims.
-bool load_u32_column(util::BinaryReader& in, std::vector<std::uint32_t>& column,
-                     std::uint64_t n) {
-  column.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint32_t v = in.u32();
-    if (!in.ok()) return false;
-    column.push_back(v);
-  }
-  return true;
-}
-
 }  // namespace
 
 void FeatureExtractionCache::save(util::BinaryWriter& out) const {
@@ -145,25 +131,6 @@ void FeatureExtractionCache::save(util::BinaryWriter& out) const {
   save_id_map(out, as_ids_, [&out](netdb::Asn a) { out.u32(a); });
   save_id_map(out, cc_ids_, [&out](std::uint16_t c) { out.u16(c); });
   save_id_map(out, s24_ids_, [&out](std::uint32_t s) { out.u32(s); });
-  out.u64(rows_.capacity());
-  out.u64(rows_.size());
-  rows_.for_each_slot([&out](std::size_t slot, net::IPv4Addr addr, const RowEntry& e) {
-    out.u64(slot);
-    out.u32(addr.value());
-    out.u64(e.total_queries);
-    out.u64(e.period_count);
-    out.u64(e.footprint);
-    out.u64(e.norm_periods);
-    out.u32(e.norm_as);
-    out.u32(e.norm_cc);
-    out.u64(e.qids.size());  // counts is parallel: same length
-    for (const std::uint32_t q : e.qids) out.u32(q);
-    for (const std::uint32_t c : e.counts) out.u32(c);
-    out.u32(e.row.originator.value());
-    out.u64(e.row.footprint);
-    for (const double v : e.row.statics) out.f64(v);
-    for (const double v : e.row.dynamics) out.f64(v);
-  });
 }
 
 bool FeatureExtractionCache::load(util::BinaryReader& in) {
@@ -176,6 +143,9 @@ bool FeatureExtractionCache::load(util::BinaryReader& in) {
   s8_.clear();
   category_.clear();
   ahead_.clear();
+  // The columns never reserve() the count read from the image: they grow
+  // only as bytes actually arrive, so a corrupt length costs what the
+  // stream holds, not what it claims.
   for (std::uint64_t id = 0; id < queriers; ++id) {
     const std::uint32_t as = in.u32();
     const std::uint32_t cc = in.u32();
@@ -200,31 +170,6 @@ bool FeatureExtractionCache::load(util::BinaryReader& in) {
       !column_below(as_id_, as_count() + 1) || !column_below(cc_id_, cc_count() + 1) ||
       !column_below(s24_id_, s24_count())) {
     return false;
-  }
-  const std::uint64_t cap = in.u64();
-  const std::uint64_t n = in.u64();
-  if (!in.ok() || n > cap || !rows_.restore_layout(cap)) return false;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t slot = in.u64();
-    const net::IPv4Addr addr{in.u32()};
-    RowEntry e;
-    e.total_queries = in.u64();
-    e.period_count = in.u64();
-    e.footprint = in.u64();
-    e.norm_periods = in.u64();
-    e.norm_as = in.u32();
-    e.norm_cc = in.u32();
-    const std::uint64_t qn = in.u64();
-    if (!in.ok() || qn > kMaxLoadLen) return false;
-    if (!load_u32_column(in, e.qids, qn) || !load_u32_column(in, e.counts, qn) ||
-        !column_below(e.qids, querier_count())) {
-      return false;
-    }
-    e.row.originator = net::IPv4Addr{in.u32()};
-    e.row.footprint = in.u64();
-    for (double& v : e.row.statics) v = in.f64();
-    for (double& v : e.row.dynamics) v = in.f64();
-    if (!in.ok() || !rows_.place(slot, addr, std::move(e))) return false;
   }
   return in.ok();
 }
@@ -256,29 +201,29 @@ struct Norms {
   std::uint32_t cc = 0;
 };
 
-FeatureVector compute_row(const FeatureExtractionCache& cache,
-                          const FeatureExtractionCache::RowEntry& entry,
-                          net::IPv4Addr originator, const Norms& norms, Scratch& s) {
+FeatureVector compute_row(const FeatureExtractionCache& cache, const OriginatorAggregate& agg,
+                          const Norms& norms, Scratch& s) {
   FeatureVector fv;
-  fv.originator = originator;
-  const std::size_t k = entry.qids.size();
+  fv.originator = agg.originator;
+  const std::size_t k = agg.querier_queries.size();
   // Cardinality-shaped outputs read the aggregate's footprint (the sketch
   // estimate once promoted); sample-shaped reductions below stream over
-  // the k retained (qid, count) columns.  Exact mode: footprint == k.
-  fv.footprint = entry.footprint;
+  // the k retained queriers.  Exact mode: footprint == k.
+  fv.footprint = agg.unique_queriers();
   if (k == 0) return fv;
 
-  // One streaming pass over the querier-id column gathers everything the
-  // eight dynamic features and fourteen static fractions need.  Bucket
-  // membership is epoch-stamped: a stale stamp means "first touch this
-  // row", so the scratch arrays never need clearing between rows.
+  // One streaming pass over the querier histogram, in flat-map order,
+  // gathers everything the eight dynamic features and fourteen static
+  // fractions need.  Bucket membership is epoch-stamped: a stale stamp
+  // means "first touch this row", so the scratch arrays never need
+  // clearing between rows.
   std::array<std::uint32_t, kQuerierCategoryCount> category_counts{};
   ++s.epoch;
   s.counts24.clear();
   s.counts8.clear();
   std::size_t distinct_as = 0, distinct_cc = 0;
-  for (std::size_t m = 0; m < k; ++m) {
-    const std::uint32_t qid = entry.qids[m];
+  for (const auto& [querier, count] : agg.querier_queries) {
+    const std::uint32_t qid = cache.id_of(querier);
     ++category_counts[static_cast<std::size_t>(cache.category(qid))];
     const std::uint32_t b24 = cache.s24_id(qid);
     if (s.stamp24[b24] != s.epoch) {
@@ -317,10 +262,10 @@ FeatureVector compute_row(const FeatureExtractionCache& cache,
   }
   DynamicFeatures& f = fv.dynamics;
   f[static_cast<std::size_t>(DynamicFeature::kQueriesPerQuerier)] =
-      static_cast<double>(entry.total_queries) / static_cast<double>(entry.footprint);
+      static_cast<double>(agg.total_queries) / static_cast<double>(fv.footprint);
   f[static_cast<std::size_t>(DynamicFeature::kPersistence)] =
       norms.periods == 0 ? 0.0
-                         : static_cast<double>(entry.period_count) /
+                         : static_cast<double>(agg.periods.size()) /
                                static_cast<double>(norms.periods);
   f[static_cast<std::size_t>(DynamicFeature::kLocalEntropy)] =
       util::normalized_entropy(std::span<const std::size_t>(s.counts24));
@@ -346,14 +291,33 @@ std::vector<FeatureVector> extract_feature_rows(
     std::size_t threads, FeatureExtractionStats& stats) {
   stats = FeatureExtractionStats{};
 
-  // --- 1. Collect the queriers the interner hasn't met yet, in first-seen
-  // order over the interval's aggregates.
+  // --- 1. One walk over the interval's aggregates: collect the queriers
+  // the interner hasn't met yet, in first-seen order, and mark the AS and
+  // country of every querier it has.
+  std::vector<std::uint8_t> as_seen(cache.as_count() + 1, 0);
+  std::vector<std::uint8_t> cc_seen(cache.cc_count() + 1, 0);
+  Norms norms;
+  norms.periods = interval.total_periods();
+  const auto mark = [&](std::uint32_t qid) {
+    const std::uint32_t as = cache.as_id(qid);
+    if (as != 0 && !as_seen[as]) {
+      as_seen[as] = 1;
+      ++norms.as;
+    }
+    const std::uint32_t cc = cache.cc_id(qid);
+    if (cc != 0 && !cc_seen[cc]) {
+      cc_seen[cc] = 1;
+      ++norms.cc;
+    }
+  };
   std::vector<net::IPv4Addr> pending;
   util::FlatSet<net::IPv4Addr> pending_seen;
   for (const auto& [addr, agg] : interval.aggregates()) {
     for (const auto& [querier, count] : agg.querier_queries) {
-      if (cache.id_of(querier) == FeatureExtractionCache::kNoId &&
-          pending_seen.insert(querier)) {
+      const std::uint32_t qid = cache.id_of(querier);
+      if (qid != FeatureExtractionCache::kNoId) {
+        mark(qid);
+      } else if (pending_seen.insert(querier)) {
         pending.push_back(querier);
       }
     }
@@ -362,7 +326,8 @@ std::vector<FeatureVector> extract_feature_rows(
   // --- 2. Take the unseen queriers' resolve-ahead memo hits, resolve the
   // misses in parallel (resolver and AS/geo databases are read-only), then
   // intern serially in first-seen order so dense-id assignment is
-  // deterministic for every thread count.
+  // deterministic for every thread count.  Marking them afterwards gives
+  // the same normalizers: they count distinct sets.
   std::vector<QuerierResolution> resolved(pending.size());
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < pending.size(); ++i) {
@@ -379,100 +344,30 @@ std::vector<FeatureVector> extract_feature_rows(
       },
       threads);
   g_resolved_at_close.add(misses.size());
+  const std::uint32_t first_new = static_cast<std::uint32_t>(cache.querier_count());
   for (std::size_t i = 0; i < pending.size(); ++i) cache.intern(pending[i], resolved[i]);
+  as_seen.resize(cache.as_count() + 1, 0);
+  cc_seen.resize(cache.cc_count() + 1, 0);
+  for (std::uint32_t qid = first_new; qid < cache.querier_count(); ++qid) mark(qid);
   stats.queriers_interned = pending.size();
-
-  // --- 3. Interval normalizers: distinct ASes and countries over every
-  // aggregate's queriers, plus the interval's period count.
-  std::vector<std::uint8_t> as_seen(cache.as_count() + 1, 0);
-  std::vector<std::uint8_t> cc_seen(cache.cc_count() + 1, 0);
-  Norms norms;
-  norms.periods = interval.total_periods();
-  for (const auto& [addr, agg] : interval.aggregates()) {
-    for (const auto& [querier, count] : agg.querier_queries) {
-      const std::uint32_t qid = cache.id_of(querier);
-      const std::uint32_t as = cache.as_id(qid);
-      if (as != 0 && !as_seen[as]) {
-        as_seen[as] = 1;
-        ++norms.as;
-      }
-      const std::uint32_t cc = cache.cc_id(qid);
-      if (cc != 0 && !cc_seen[cc]) {
-        cc_seen[cc] = 1;
-        ++norms.cc;
-      }
-    }
-  }
   stats.interval_as_count = norms.as;
   stats.interval_cc_count = norms.cc;
 
-  // --- 4. Row phase.  Serial inserts freeze the row map's layout; the
-  // per-row reuse decision and any recomputation then run over disjoint
-  // entries in parallel contiguous chunks, one scratch buffer per chunk.
-  auto& rows = cache.rows();
-  rows.reserve(rows.size() + interesting.size());
-  for (const OriginatorAggregate* agg : interesting) rows.try_emplace(agg->originator);
-
+  // --- 3. Row phase: every row reads its aggregate, in parallel contiguous
+  // chunks over the now-frozen interner, one scratch buffer per chunk.
   const std::size_t n = interesting.size();
   std::vector<FeatureVector> out(n);
   const std::size_t slots = threads == 0 ? util::configured_thread_count() : threads;
   const std::size_t chunks = std::clamp<std::size_t>(slots, 1, n == 0 ? 1 : n);
-  std::vector<FeatureExtractionStats> chunk_stats(chunks);
   util::parallel_for(
       chunks,
       [&](std::size_t c) {
         Scratch scratch(cache.s24_count(), cache.as_count(), cache.cc_count());
-        FeatureExtractionStats& cs = chunk_stats[c];
-        const std::size_t lo = c * n / chunks;
-        const std::size_t hi = (c + 1) * n / chunks;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const OriginatorAggregate& agg = *interesting[i];
-          auto& entry = rows.find(agg.originator)->second;
-          bool same = entry.total_queries == agg.total_queries &&
-                      entry.period_count == agg.periods.size() &&
-                      entry.footprint == agg.unique_queriers() &&
-                      entry.qids.size() == agg.querier_queries.size();
-          if (same) {
-            std::size_t m = 0;
-            for (const auto& [querier, count] : agg.querier_queries) {
-              if (entry.qids[m] != cache.id_of(querier) || entry.counts[m] != count) {
-                same = false;
-                break;
-              }
-              ++m;
-            }
-          }
-          if (!same) {
-            entry.qids.clear();
-            entry.counts.clear();
-            entry.qids.reserve(agg.querier_queries.size());
-            entry.counts.reserve(agg.querier_queries.size());
-            for (const auto& [querier, count] : agg.querier_queries) {
-              entry.qids.push_back(cache.id_of(querier));
-              entry.counts.push_back(count);
-            }
-            entry.total_queries = agg.total_queries;
-            entry.period_count = agg.periods.size();
-            entry.footprint = agg.unique_queriers();
-          }
-          if (same && entry.norm_periods == norms.periods && entry.norm_as == norms.as &&
-              entry.norm_cc == norms.cc) {
-            ++cs.rows_reused;
-          } else {
-            entry.row = compute_row(cache, entry, agg.originator, norms, scratch);
-            entry.norm_periods = norms.periods;
-            entry.norm_as = norms.as;
-            entry.norm_cc = norms.cc;
-            ++cs.rows_recomputed;
-          }
-          out[i] = entry.row;
+        for (std::size_t i = c * n / chunks; i < (c + 1) * n / chunks; ++i) {
+          out[i] = compute_row(cache, *interesting[i], norms, scratch);
         }
       },
       threads);
-  for (const FeatureExtractionStats& cs : chunk_stats) {
-    stats.rows_reused += cs.rows_reused;
-    stats.rows_recomputed += cs.rows_recomputed;
-  }
   return out;
 }
 

@@ -1,30 +1,20 @@
-// Columnar feature extraction with carry-forward row reuse (the path
-// behind Sensor::extract_features).
+// Columnar feature extraction (the path behind Sensor::extract_features).
 //
 //   * Columnar layout.  A grow-only interner assigns every querier a dense
 //     id and resolves its AS, country, /24, /8 and reverse-name category
-//     exactly once, across every window that shares the cache.  Each
-//     originator's querier histogram is flattened into two parallel
-//     arrays (querier ids, query counts), so the entropy / unique-AS /
-//     unique-CC loops become branch-light streaming passes over dense
-//     integer columns with epoch-stamped scratch buffers instead of
-//     per-originator FlatMap/FlatSet churn.
+//     exactly once, across every window that shares the cache.  Each row
+//     walks its originator's querier histogram in aggregate flat-map order
+//     and reads those dense ids, so the entropy / unique-AS / unique-CC
+//     loops become branch-light streaming passes with epoch-stamped scratch
+//     buffers instead of per-originator FlatMap/FlatSet churn.
 //
-//   * Carry-forward.  The cache keeps each originator's flattened columns
-//     and its last row, with the interval-wide normalizers (total periods,
-//     AS count, country count) the row was computed under.  A window's
-//     sensor is extracted once, when the window closes; each interesting
-//     originator then compares its aggregate with the cache entry:
-//
-//   reuse row      same totals, same flattened (qid, count) sequence, same
-//                  normalizers
-//   reuse columns  same columns, moved normalizers: the row recomputes
-//                  from the cached columns
-//   recompute      anything else: re-flatten, then recompute
-//
-// A never-filled entry holds total_queries 0, which no aggregate has, so
-// it is never reused.  Every path is byte-identical to a fresh cache (the
-// features-perf oracle tests).
+//   * One interning walk per window.  A window's sensor is extracted once,
+//     when the window closes: one walk over the interval's aggregates
+//     collects unseen queriers and marks the AS and country of every
+//     querier already interned; the unseen ones are resolved, interned in
+//     first-seen order and marked; then every interesting row is computed
+//     straight from its aggregate.  Rows are byte-identical to a fresh
+//     cache (the features-perf oracle tests).
 //
 // The cache may be shared across Sensors (analysis::WindowedPipeline does
 // this for consecutive windows) under one assumption: the resolver and
@@ -76,32 +66,13 @@ QuerierResolution resolve_querier(net::IPv4Addr querier, const netdb::AsDb& as_d
                                   const netdb::GeoDb& geo_db,
                                   const QuerierResolver& resolver);
 
-/// Process-long columnar state: the querier interner plus the per
-/// originator row cache.  Not thread-safe; one extraction or
+/// Process-long columnar state: the querier interner plus the
+/// resolve-ahead memo.  Not thread-safe; one extraction or
 /// resolve_ahead() runs at a time (extraction parallelizes internally over
 /// frozen state).
 class FeatureExtractionCache {
  public:
   static constexpr std::uint32_t kNoId = 0xffffffffu;
-
-  /// Cached extraction state for one originator.
-  struct RowEntry {
-    std::uint64_t total_queries = 0;  ///< 0 = never filled
-    std::uint64_t period_count = 0;
-    /// Unique-querier cardinality (aggregate's unique_queriers() at
-    /// flatten time).  Equals qids.size() in exact mode; in sketch mode a
-    /// promoted originator's sketch estimate, while qids/counts hold only
-    /// the frozen sample.
-    std::uint64_t footprint = 0;
-    /// Normalizer snapshot the cached row was computed under.
-    std::uint64_t norm_periods = 0;
-    std::uint32_t norm_as = 0;
-    std::uint32_t norm_cc = 0;
-    /// Flattened querier histogram in aggregate flat-map order.
-    std::vector<std::uint32_t> qids;
-    std::vector<std::uint32_t> counts;
-    FeatureVector row;
-  };
 
   // --- interner: read side (valid for ids < querier_count()) ---
   std::size_t querier_count() const noexcept { return category_.size(); }
@@ -140,12 +111,9 @@ class FeatureExtractionCache {
   void drop_resolved() noexcept { ahead_.clear(); }
   std::size_t resolved_ahead() const noexcept { return ahead_.size(); }
 
-  util::FlatMap<net::IPv4Addr, RowEntry>& rows() noexcept { return rows_; }
-
-  /// Checkpoint round-trip.  The interner maps and the row cache serialize
-  /// slot-exactly; doubles travel as raw bit patterns, so a restored cache
-  /// reproduces every reuse/recompute decision — and every cached row —
-  /// bit-for-bit.  The resolve-ahead memo is not part of the image.
+  /// Checkpoint round-trip.  The interner maps serialize slot-exactly, so a
+  /// restored cache assigns the same dense ids as one never saved.  The
+  /// resolve-ahead memo is not part of the image.
   /// load() replaces the cache's entire state and returns false on a
   /// corrupt stream, including any interned id at or beyond its
   /// interner's size (state is then unspecified; discard it).
@@ -164,15 +132,12 @@ class FeatureExtractionCache {
   util::FlatMap<netdb::Asn, std::uint32_t> as_ids_;
   util::FlatMap<std::uint16_t, std::uint32_t> cc_ids_;  ///< keyed by packed CC
   util::FlatMap<std::uint32_t, std::uint32_t> s24_ids_;
-  util::FlatMap<net::IPv4Addr, RowEntry> rows_;
   util::FlatMap<net::IPv4Addr, QuerierResolution> ahead_;
 };
 
 /// Per-extraction tallies (deterministic: pure functions of the window's
 /// records and the cache's prior contents, not of thread count).
 struct FeatureExtractionStats {
-  std::uint64_t rows_reused = 0;
-  std::uint64_t rows_recomputed = 0;
   std::uint64_t queriers_interned = 0;
   /// Interval-wide normalizers: distinct ASes and countries over the
   /// queriers of every aggregate in the interval.
@@ -181,8 +146,7 @@ struct FeatureExtractionStats {
 };
 
 /// Extracts feature rows for `interesting` (footprint-sorted aggregates of
-/// `interval`), interning unseen queriers into `cache` and reusing its rows
-/// where the carry-forward rules above allow.  Byte-identical to a fresh
+/// `interval`), interning unseen queriers into `cache`.  Byte-identical to a fresh
 /// cache and to any thread count.  The resolver and databases must be the
 /// ones the cache was filled with.
 std::vector<FeatureVector> extract_feature_rows(

@@ -25,14 +25,10 @@ util::MetricCounter& g_interesting = util::metrics_counter("dnsbs.sensor.interes
 util::MetricCounter& g_admitted = util::metrics_counter("dnsbs.dedup.admitted");
 util::MetricCounter& g_suppressed = util::metrics_counter("dnsbs.dedup.suppressed");
 util::MetricCounter& g_feature_rows = util::metrics_counter("dnsbs.features.rows");
-// Carry-forward telemetry: reused/recomputed partition the extracted rows,
-// interner.queriers counts first-sight resolutions.  All are pure
-// functions of the input stream and extract-call sequence — deterministic
-// across DNSBS_THREADS.  extract_ns is wall-clock timing (histograms sit
-// outside the deterministic view by construction).
-util::MetricCounter& g_rows_reused = util::metrics_counter("dnsbs.features.rows_reused");
-util::MetricCounter& g_rows_recomputed =
-    util::metrics_counter("dnsbs.features.rows_recomputed");
+// interner.queriers counts first-sight resolutions: a pure function of the
+// input stream and extract-call sequence, deterministic across
+// DNSBS_THREADS.  extract_ns is wall-clock timing (histograms sit outside
+// the deterministic view by construction).
 util::MetricCounter& g_interned = util::metrics_counter("dnsbs.cache.interner.queriers");
 util::MetricHistogram& g_extract_ns = util::metrics_histogram("dnsbs.features.extract_ns");
 util::MetricCounter& g_predictions = util::metrics_counter("dnsbs.sensor.classified");
@@ -201,8 +197,6 @@ std::vector<FeatureVector> Sensor::extract_features() const {
   FeatureExtractionStats stats;
   auto rows = extract_feature_rows(aggregator_, interesting, *feature_cache_, as_db_, geo_db_,
                                    resolver_, config_.threads, stats);
-  g_rows_reused.add(stats.rows_reused);
-  g_rows_recomputed.add(stats.rows_recomputed);
   g_interned.add(stats.queriers_interned);
   g_extract_ns.record(util::metrics_now_ns() - t0);
   return rows;

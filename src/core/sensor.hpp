@@ -5,9 +5,9 @@
 // One Sensor instance covers one measurement interval at one authority;
 // long-running studies build a Sensor per day/week window (see
 // analysis::WindowedPipeline).  A window's sensor is extracted once, when
-// the window closes; consecutive windows reuse each other's rows through
-// a shared FeatureExtractionCache (feature_engine.hpp), not through state
-// kept in the sensor.
+// the window closes; consecutive windows share resolved querier
+// identities through a FeatureExtractionCache (feature_engine.hpp), not
+// through state kept in the sensor.
 #pragma once
 
 #include <memory>
@@ -66,17 +66,15 @@ class Sensor {
   void ingest_all(std::span<const dns::QueryRecord> records);
 
   /// Selects interesting originators and computes their feature vectors,
-  /// ordered by footprint descending.  Rows whose columns and normalizers
-  /// match the feature cache's entry are reused from it (carry-forward),
-  /// byte-identical to a fresh cache.  Logically const: the cache only
-  /// changes which rows are computed, never their bytes.
+  /// ordered by footprint descending, interning unseen queriers into the
+  /// feature cache.  Logically const: rows are byte-identical to a fresh
+  /// cache, whatever the cache has interned before.
   std::vector<FeatureVector> extract_features() const;
 
   /// Replaces the sensor's own extraction cache with a shared one (querier
-  /// interner + carry-forward rows), letting consecutive windows reuse
-  /// resolved querier identities and unchanged rows.  Sharing assumes the
-  /// resolver and AS/geo databases are stable for the cache's lifetime
-  /// (see feature_engine.hpp).
+  /// interner + resolve-ahead memo), letting consecutive windows reuse
+  /// resolved querier identities.  Sharing assumes the resolver and AS/geo
+  /// databases are stable for the cache's lifetime (see feature_engine.hpp).
   void set_feature_cache(std::shared_ptr<FeatureExtractionCache> cache);
 
   const OriginatorAggregator& aggregator() const noexcept { return aggregator_; }

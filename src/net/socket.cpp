@@ -1,6 +1,7 @@
 #include "net/socket.hpp"
 
 #include <arpa/inet.h>
+#include <linux/sock_diag.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/eventfd.h>
@@ -144,11 +145,22 @@ std::size_t UdpSocket::recv_batch(DatagramSlab& slab) {
     msghdr& h = slab.headers_[static_cast<std::size_t>(i)].msg_hdr;
     for (cmsghdr* c = CMSG_FIRSTHDR(&h); c != nullptr; c = CMSG_NXTHDR(&h, c)) {
       if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SO_RXQ_OVFL) {
-        std::memcpy(&drops_, CMSG_DATA(c), sizeof(drops_));
+        std::uint32_t drops = 0;
+        std::memcpy(&drops, CMSG_DATA(c), sizeof(drops));
+        see_drops(drops);
       }
     }
   }
   return static_cast<std::size_t>(n);
+}
+
+void UdpSocket::refresh_kernel_drops() {
+  std::uint32_t meminfo[SK_MEMINFO_VARS] = {};
+  socklen_t len = sizeof(meminfo);
+  if (valid() && ::getsockopt(fd_, SOL_SOCKET, SO_MEMINFO, meminfo, &len) == 0 &&
+      len > SK_MEMINFO_DROPS * sizeof(std::uint32_t)) {
+    see_drops(meminfo[SK_MEMINFO_DROPS]);
+  }
 }
 
 DatagramSlab::DatagramSlab(std::size_t slots, std::size_t slot_bytes)

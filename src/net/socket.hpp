@@ -104,14 +104,25 @@ class UdpSocket : public Socket {
   /// `slab`, with one recvmmsg that never waits.  Returns how many landed
   /// (0 when none is queued, or on error).
   std::size_t recv_batch(DatagramSlab& slab);
-  /// Datagrams the kernel dropped on a full receive buffer, as reported
-  /// with the newest datagram recv_batch received (cumulative, wraps at
-  /// 2^32).  A drop is therefore seen once a later datagram arrives.
+  /// Datagrams the kernel dropped on a full receive buffer (cumulative,
+  /// wraps at 2^32), as last seen: recv_batch reads the count each datagram
+  /// carries (SO_RXQ_OVFL), which is seen only once a later datagram
+  /// arrives; refresh_kernel_drops() reads it from the socket itself.
   std::uint32_t kernel_drops() const noexcept { return drops_; }
+  /// Reads the socket's drop count now (SO_MEMINFO), so drops followed by
+  /// silence are seen too.
+  void refresh_kernel_drops();
 
   const std::string& last_error() const noexcept { return error_; }
 
  private:
+  /// Both sources read one cumulative counter, but a datagram carries it
+  /// as of its enqueue, so it can lag a refresh taken since: drops_ only
+  /// moves forward (modulo 2^32).
+  void see_drops(std::uint32_t drops) noexcept {
+    if (static_cast<std::int32_t>(drops - drops_) > 0) drops_ = drops;
+  }
+
   std::string error_;
   std::uint32_t drops_ = 0;
 };

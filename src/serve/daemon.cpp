@@ -462,11 +462,7 @@ std::size_t ServeDaemon::pump_udp() {
   const std::size_t n = udp_.recv_batch(udp_slab_);
   if (n == 0) return 0;
   g_udp.add(n);
-  const std::uint32_t drops = udp_.kernel_drops();
-  if (drops != udp_drops_counted_) {
-    g_dropped.add(drops - udp_drops_counted_);  // modulo 2^32, as the kernel counts
-    udp_drops_counted_ = drops;
-  }
+  count_udp_drops();
   // UDP's part of the backlog watermark: the datagrams this round drained.
   driver_->note_queue_depth(n);
   const auto wall_secs = static_cast<std::int64_t>(::time(nullptr));
@@ -474,6 +470,14 @@ std::size_t ServeDaemon::pump_udp() {
     process_packet(udp_slab_.datagram(i), wall_secs, udp_slab_.source(i));
   }
   return n;
+}
+
+void ServeDaemon::count_udp_drops() {
+  const std::uint32_t drops = udp_.kernel_drops();
+  if (drops != udp_drops_counted_) {
+    g_dropped.add(drops - udp_drops_counted_);  // modulo 2^32, as the kernel counts
+    udp_drops_counted_ = drops;
+  }
 }
 
 void ServeDaemon::process_batch(const IntakeBatch& batch) {
@@ -520,6 +524,8 @@ std::string ServeDaemon::handle_control(const std::string& command) {
     // Barrier so windows_closed/history/queue stats describe a settled
     // pipeline, not one mid-close.
     quiesce_pipeline();
+    udp_.refresh_kernel_drops();
+    count_udp_drops();
     return stats_json();
   }
   if (command == "HISTORY" || command.rfind("HISTORY ", 0) == 0) {
@@ -554,6 +560,8 @@ std::string ServeDaemon::handle_control(const std::string& command) {
     // train), so the scraped deterministic series are byte-identical to an
     // exit-time --metrics-out dump of the same stream.
     driver_->publish_pending_metrics();
+    udp_.refresh_kernel_drops();
+    count_udp_drops();
     return util::metrics_snapshot().to_prometheus();
   }
   if (command == "FLUSH") {

@@ -58,7 +58,8 @@
 // In-flight TCP bytes are bounded per connection by its ring; STATS
 // queue_depth counts queued TCP frames, not batches.  UDP's stall absorber
 // is the kernel receive buffer (STATS udp_rcvbuf_bytes); what overflows it
-// the kernel drops and reports (SO_RXQ_OVFL), counted in
+// the kernel drops and reports (SO_RXQ_OVFL with the next datagram, and
+// SO_MEMINFO read when STATS or /metrics is served), counted in
 // dnsbs.serve.queue_dropped.  HISTORY queue_depth_peak is the larger of
 // the queued TCP frames and the biggest recvmmsg batch.
 // Socket-side tallies (datagrams seen, kernel drops, frames) and the
@@ -202,6 +203,8 @@ class ServeDaemon {
   std::size_t pump_intake(int timeout_ms);
   std::size_t pump_tcp();
   std::size_t pump_udp();
+  /// Folds kernel drops not yet counted into dnsbs.serve.queue_dropped.
+  void count_udp_drops();
   void service_control();
   std::string handle_control(const std::string& command);
   std::string stats_json() const;

@@ -1,16 +1,14 @@
-// Columnar feature extraction with carry-forward (core::
+// Columnar feature extraction on a shared cache (core::
 // extract_feature_rows): windows on a shared cache against fresh sensors,
 // SoA-vs-map equivalence for all eight dynamic features, epoch-scratch
-// reuse, the reuse/recompute counters per window, and thread-count
-// determinism of the dnsbs.features.* counters.
+// reuse, thread-count determinism of the deterministic counters, and the
+// cache image's load checks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/pipeline.hpp"
@@ -176,7 +174,7 @@ TEST(FeatureEngineOracle, IncrementalMatchesFullRecomputeAcrossWaves) {
   const Dbs dbs;
   const CyclingResolver resolver;
 
-  // Every window's rows, taken through the shared cache's reuse rules,
+  // Every window's rows, taken through the shared cache's interner,
   // match an independent sensor with a fresh cache bit for bit.
   const auto cache = std::make_shared<FeatureExtractionCache>();
   const auto windows = window_records();
@@ -204,8 +202,6 @@ TEST(FeatureEngineEquivalence, SoAColumnsMatchMapReference) {
   const auto rows = extract_feature_rows(agg, interesting, cache, dbs.as_db, dbs.geo_db,
                                          resolver, 1, stats);
   ASSERT_EQ(rows.size(), interesting.size());
-  EXPECT_EQ(stats.rows_recomputed, rows.size());
-  EXPECT_EQ(stats.rows_reused, 0u);
 
   const reference::IntervalCounts norms =
       reference::interval_counts(agg, dbs.as_db, dbs.geo_db);
@@ -261,64 +257,7 @@ TEST(FeatureEngineScratch, EpochReuseSurvivesForcedRecomputes) {
   }
 }
 
-TEST(FeatureEngineCounters, ChurnAndNormalizerShiftsPartitionRows) {
-#if !DNSBS_METRICS_ENABLED
-  GTEST_SKIP() << "built with -DDNSBS_METRICS=OFF";
-#else
-  const Dbs dbs;
-  const CyclingResolver resolver;
-  const auto counters = [] {
-    const auto s = util::metrics_snapshot();
-    return std::pair{s.scalar("dnsbs.features.rows_reused"),
-                     s.scalar("dnsbs.features.rows_recomputed")};
-  };
-
-  // (reused, recomputed) per window of window_records(): a cold cache
-  // computes every row; a repeated window reuses every row; pure churn
-  // recomputes only the churned originator; a normalizer shift recomputes
-  // every row.
-  const std::pair<std::int64_t, std::int64_t> want[] = {
-      {0, 12}, {12, 0}, {11, 1}, {0, 12}, {11, 1}};
-  const auto cache = std::make_shared<FeatureExtractionCache>();
-  const auto windows = window_records();
-  ASSERT_EQ(windows.size(), std::size(want));
-  for (std::size_t w = 0; w < windows.size(); ++w) {
-    const auto before = counters();
-    ASSERT_EQ(extract_window(windows[w], cache, dbs, resolver).size(), 12u);
-    const auto after = counters();
-    EXPECT_EQ(after.first - before.first, want[w].first) << "window " << w;
-    EXPECT_EQ(after.second - before.second, want[w].second) << "window " << w;
-  }
-#endif
-}
-
-TEST(FeatureEngineCarryForward, DefaultRowEntryIsNeverReused) {
-  // A never-filled entry (total_queries 0) already sits in the cache for
-  // every interesting originator: none of them may take it as a match.
-  const Dbs dbs;
-  const CyclingResolver resolver;
-  OriginatorAggregator agg;
-  for (const auto& r : wave(0)) agg.add(r);
-  const auto interesting = agg.select_interesting(3, 0);
-  ASSERT_FALSE(interesting.empty());
-
-  FeatureExtractionCache seeded;
-  for (const OriginatorAggregate* a : interesting) seeded.rows().try_emplace(a->originator);
-  FeatureExtractionStats stats;
-  const auto rows = extract_feature_rows(agg, interesting, seeded, dbs.as_db, dbs.geo_db,
-                                         resolver, 1, stats);
-  EXPECT_EQ(stats.rows_reused, 0u);
-  EXPECT_EQ(stats.rows_recomputed, interesting.size());
-
-  FeatureExtractionCache fresh;
-  FeatureExtractionStats fresh_stats;
-  expect_rows_bitwise_equal(rows,
-                            extract_feature_rows(agg, interesting, fresh, dbs.as_db,
-                                                 dbs.geo_db, resolver, 1, fresh_stats),
-                            "seeded vs fresh cache");
-}
-
-TEST(FeatureEngineCarryForward, SharedCacheReusesRowsAcrossSensors) {
+TEST(FeatureEngineCarryForward, SharedCacheMatchesFreshCache) {
   const Dbs dbs;
   const CyclingResolver resolver;
   const auto cache = std::make_shared<FeatureExtractionCache>();
@@ -332,8 +271,8 @@ TEST(FeatureEngineCarryForward, SharedCacheReusesRowsAcrossSensors) {
   first.ingest_all(records);
   const auto rows_first = first.extract_features();
 
-  // A second sensor over the same stream shares the cache: every row is
-  // reused through the column comparison, and still matches bitwise.
+  // A second sensor over the same stream shares the cache, whose interner
+  // already holds every querier: its rows match bitwise.
   Sensor second(small_config(), dbs.as_db, dbs.geo_db, resolver);
   second.set_feature_cache(cache);
   second.ingest_all(records);
@@ -401,8 +340,7 @@ TEST(FeatureEngineDeterminism, CountersMatchSerialAcrossThreadCounts) {
   };
 
   const util::MetricsSnapshot serial = run_with(1);
-  EXPECT_GT(serial.scalar("dnsbs.features.rows_reused"), 0);
-  EXPECT_GT(serial.scalar("dnsbs.features.rows_recomputed"), 0);
+  EXPECT_GT(serial.scalar("dnsbs.features.rows"), 0);
   EXPECT_GT(serial.scalar("dnsbs.cache.interner.queriers"), 0);
 
   for (const std::size_t threads : {2, 4}) {
@@ -444,48 +382,24 @@ TEST(FeatureExtractionCacheResolveAhead, MemoSkipsInternedAndRepeatQueriers) {
 }
 
 TEST(FeatureExtractionCacheLoad, ClaimedLengthsBeyondTheStreamFailCleanly) {
-  // An image claiming 2^30 queriers (or a 2^30-entry row column) and then
-  // ending must fail after reading what is there, without reserving the
-  // ~14 GiB the claim implies.
-  const auto truncated = [](bool claim_in_row) {
-    std::stringstream bytes;
-    util::BinaryWriter out(bytes);
-    out.u64(0);  // querier-id map: capacity, size
-    out.u64(0);
-    if (!claim_in_row) {
-      out.u64(std::uint64_t{1} << 30);
-      for (int i = 0; i < 3; ++i) {  // three whole column entries, then EOF
-        out.u32(1);
-        out.u32(1);
-        out.u32(0);
-        out.u8(10);
-        out.u8(0);
-      }
-      return bytes.str();
-    }
-    out.u64(0);  // no queriers
-    for (int map = 0; map < 3; ++map) {  // AS, CC, /24 id maps: empty
-      out.u64(0);
-      out.u64(0);
-    }
-    out.u64(16);  // row map: capacity, size
-    out.u64(1);
-    out.u64(3);  // slot
-    out.u32(addr(192, 0, 2, 1).value());
-    for (int i = 0; i < 4; ++i) out.u64(1);  // total_queries .. norm_periods
-    out.u32(1);  // norm_as
-    out.u32(1);  // norm_cc
-    out.u64(std::uint64_t{1} << 30);  // qids length, then two ids and EOF
-    out.u32(0);
+  // An image claiming 2^30 queriers and then ending must fail after
+  // reading what is there, without reserving the ~14 GiB the claim implies.
+  std::stringstream bytes;
+  util::BinaryWriter out(bytes);
+  out.u64(0);  // querier-id map: capacity, size
+  out.u64(0);
+  out.u64(std::uint64_t{1} << 30);
+  for (int i = 0; i < 3; ++i) {  // three whole column entries, then EOF
     out.u32(1);
-    return bytes.str();
-  };
-  for (const bool claim_in_row : {false, true}) {
-    std::istringstream in(truncated(claim_in_row));
-    util::BinaryReader reader(in);
-    FeatureExtractionCache cache;
-    EXPECT_FALSE(cache.load(reader)) << "claim_in_row=" << claim_in_row;
+    out.u32(1);
+    out.u32(0);
+    out.u8(10);
+    out.u8(0);
   }
+  std::istringstream in(bytes.str());
+  util::BinaryReader reader(in);
+  FeatureExtractionCache cache;
+  EXPECT_FALSE(cache.load(reader));
 }
 
 /// Reads / overwrites a little-endian u32 at `offset` of a saved image.
@@ -527,29 +441,26 @@ TEST(FeatureExtractionCacheLoad, InternedIdsOutOfRangeAreRejected) {
   const std::string image = bytes.str();
 
   // Offsets follow FeatureExtractionCache::save: each id map as
-  // (capacity, size, size x (slot u64, key, id u32)), the querier columns
-  // as (count, count x (as, cc, s24 u32, s8, category u8)), and the row
-  // map, whose entries hold 60 bytes before their qid column.
+  // (capacity, size, size x (slot u64, key, id u32)) and the querier
+  // columns as (count, count x (as, cc, s24 u32, s8, category u8)).
   const std::size_t qid_map = 0;
   const std::size_t columns = qid_map + 16 + 16 * std::size_t{queriers};
   const std::size_t as_map = columns + 8 + 14 * std::size_t{queriers};
   const std::size_t cc_map = as_map + 16 + 16 * std::size_t{ases};
   const std::size_t s24_map = cc_map + 16 + 14 * std::size_t{ccs};
-  const std::size_t rows = s24_map + 16 + 16 * std::size_t{s24s};
   const std::size_t first_qid = qid_map + 16 + 12;
   const std::size_t first_column = columns + 8;
   const std::size_t first_as = as_map + 16 + 12;
   const std::size_t first_cc = cc_map + 16 + 10;
   const std::size_t first_s24 = s24_map + 16 + 12;
-  const std::size_t first_row_qid = rows + 16 + 60;
   // The layout arithmetic lands on the fields it means to patch.
   ASSERT_EQ(cache->id_of(IPv4Addr{read_u32(image, first_qid - 4)}),
             read_u32(image, first_qid));
   ASSERT_EQ(read_u32(image, first_column), cache->as_id(0));
   ASSERT_EQ(read_u32(image, first_column + 4), cache->cc_id(0));
   ASSERT_EQ(read_u32(image, first_column + 8), cache->s24_id(0));
-  const IPv4Addr first_row{read_u32(image, rows + 16 + 8)};
-  ASSERT_EQ(read_u32(image, first_row_qid), cache->rows().find(first_row)->second.qids.at(0));
+  // The /24 map ends the image: the cache is the interner and nothing else.
+  ASSERT_EQ(image.size(), s24_map + 16 + 16 * std::size_t{s24s});
 
   {
     std::istringstream in(image);
@@ -571,7 +482,6 @@ TEST(FeatureExtractionCacheLoad, InternedIdsOutOfRangeAreRejected) {
       {"CC id map value 0", first_cc, 0},
       {"CC id map value past size", first_cc, ccs + 1},
       {"/24 id map value", first_s24, s24s},
-      {"row qid", first_row_qid, queriers},
   };
   for (const auto& c : cases) {
     std::string patched = image;

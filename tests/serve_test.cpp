@@ -1674,6 +1674,14 @@ std::uint64_t json_number(const std::string& json, const std::string& key) {
   return at == std::string::npos ? 0 : std::stoull(json.substr(at + needle.size()));
 }
 
+/// The value of metric `name` in a STATS reply's metrics block.
+std::uint64_t stats_metric(const std::string& stats, const std::string& name) {
+  const std::size_t at = stats.find("{\"name\": \"" + name + "\"");
+  const std::string key = "\"value\": ";
+  const std::size_t value = at == std::string::npos ? at : stats.find(key, at);
+  return value == std::string::npos ? 0 : std::stoull(stats.substr(value + key.size()));
+}
+
 /// The largest queue_depth_peak over the HISTORY reply's windows.
 std::uint64_t history_queue_peak(const std::string& history) {
   std::uint64_t peak = 0;
@@ -2022,6 +2030,45 @@ TEST(UdpIntake, StalledDriveBuffersInKernelAndCountsDrops) {
   }
   EXPECT_GT(dropped(), 0u);
   EXPECT_EQ(received() + dropped(), sent);
+}
+
+TEST(UdpIntake, DropsFollowedBySilenceShowInStats) {
+#if !DNSBS_METRICS_ENABLED
+  GTEST_SKIP() << "reads dnsbs.serve.queue_dropped, a no-op without metrics";
+#endif
+  Dbs dbs;
+  const GatedResolver resolver;
+  serve::ServeDaemon daemon(framing_config(""), dbs.as_db, dbs.geo_db, resolver);
+  struct OpenOnExit {
+    const GatedResolver& gate;
+    ~OpenOnExit() { gate.open(); }
+  } open_on_exit{resolver};
+  std::string error;
+  ASSERT_TRUE(daemon.start(error)) << error;
+  auto control = net::TcpStream::connect("127.0.0.1", daemon.status_port());
+  ASSERT_TRUE(control.has_value());
+  const std::uint64_t rcvbuf = json_number(ask(*control, "STATS"), "udp_rcvbuf_bytes");
+  ASSERT_GT(rcvbuf, 0u);
+  const std::uint64_t dropped_before = counter_value("dnsbs.serve.queue_dropped");
+  net::UdpSocket sender;
+  const auto send = [&](const std::vector<std::uint8_t>& d) {
+    EXPECT_TRUE(sender.send_to("127.0.0.1", daemon.udp_port(), d.data(), d.size()));
+  };
+
+  // Window 0, then one record of window 1: closing window 0 resolves its
+  // queriers and the drive thread stops in the gate.
+  for (const QueryRecord& r : framing_records(0, 1, 8)) send(record_payload(r));
+  send(record_payload(rec(100, addr(10, 0, 0, 0), addr(192, 0, 2, 0))));
+  ASSERT_TRUE(resolver.wait_entered());
+  // More payload bytes than the buffer holds, then silence: no datagram
+  // queued after the drops carries their count.
+  constexpr std::size_t kPayloadBytes = 512;
+  const auto overrun =
+      record_payload(rec(150, addr(10, 1, 9, 9), addr(192, 0, 2, 1)), kPayloadBytes);
+  for (std::uint64_t i = 0; i <= rcvbuf / kPayloadBytes; ++i) send(overrun);
+  resolver.open();
+  EXPECT_EQ(ask(*control, "FLUSH"), "OK flushed");
+  EXPECT_GT(stats_metric(ask(*control, "STATS"), "dnsbs.serve.queue_dropped"), dropped_before);
 }
 
 TEST(UdpIntake, ControlAnsweredWhileUdpFloods) {

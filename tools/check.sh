@@ -56,9 +56,9 @@ if [[ "${PERF:-0}" == "1" ]]; then
   # best-of-5 rather than the default 3: the gate compares against a
   # committed baseline, so scheduler noise must shrink, not inflate
   "$BUILD/bench/bench_perf_pipeline" --check "$ROOT/BENCH_perf.json" --repeat 5 "$@"
-  # Feature-extraction gate: cold and churn extraction (one fresh sensor
-  # per window on a shared feature cache, as the daemon closes windows)
-  # against BENCH_perf_features.json, same >10% rule.
+  # Feature-extraction gate: cold extraction (one fresh sensor on an
+  # empty feature cache, as the daemon closes its first window) against
+  # BENCH_perf_features.json, same >10% rule.
   "$BUILD/bench/bench_perf_pipeline" --features \
     --check "$ROOT/BENCH_perf_features.json" --repeat 5 "$@"
   # ML training gate: same >10% rule against the committed training/predict

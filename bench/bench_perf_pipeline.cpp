@@ -659,8 +659,7 @@ int run_merge_child(const std::string& mode, int argc, char** argv) {
       std::ofstream os(path, std::ios::binary);
       util::BinaryWriter writer(os);
       core::export_sensor_state(*sensors[s], writer);
-      os.flush();
-      if (!writer.ok() || !os) {
+      if (!writer.finish()) {
         std::fprintf(stderr, "merge-child: cannot write %s\n", path.c_str());
         return 1;
       }

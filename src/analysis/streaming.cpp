@@ -233,7 +233,7 @@ bool StreamingWindowDriver::save(std::ostream& out_stream) {
   // daemon must answer HISTORY exactly as the checkpointed one would.
   telemetry_.save(out);
   out.i64(queue_depth_peak_.load(std::memory_order_relaxed));
-  return out.ok();
+  return out.finish();
 }
 
 bool StreamingWindowDriver::restore(std::istream& in_stream) {

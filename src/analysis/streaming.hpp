@@ -126,14 +126,16 @@ class StreamingWindowDriver {
   /// checkpoint taken mid-close waits for the close to land), so the
   /// image is slot-exact in either mode.  The metrics registry is not
   /// saved: it is process-cumulative, and a restarted process's counters
-  /// start from zero, as Prometheus counters may.
+  /// start from zero, as Prometheus counters may.  The whole image has
+  /// reached `out` (and `out` is flushed) when this returns true.
   bool save(std::ostream& out);
 
   /// Restores state saved by save().  Must run on a freshly constructed
   /// driver + pipeline pair (same window grid; async_windows may differ —
   /// it is an execution strategy, not part of the stream's identity)
   /// before any offer().  Returns false (state unspecified — discard the
-  /// pair) on mismatch/corruption.
+  /// pair) on mismatch/corruption.  Reads `in` ahead in blocks, so `in`
+  /// is consumed past the image afterwards.
   bool restore(std::istream& in);
 
   /// Drains close work and reconciles every open sensor's pending tallies

@@ -202,7 +202,11 @@ void save_period_vector(util::BinaryWriter& out, const std::vector<std::int64_t>
 
 bool load_period_vector(util::BinaryReader& in, std::vector<std::int64_t>& periods) {
   const std::uint64_t n = in.u64();
-  if (!in.ok() || n > (std::uint64_t{1} << 32)) return false;
+  // Reserve only what the image's bytes left can hold (the constant cap
+  // covers a stream that cannot seek).
+  if (!in.ok() || n > (std::uint64_t{1} << 32) || n > in.remaining() / sizeof(std::int64_t)) {
+    return false;
+  }
   periods.clear();
   periods.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {

@@ -128,8 +128,12 @@ bool Deduplicator::load(util::BinaryReader& in) {
     const std::int64_t bucket = in.i64();
     const std::uint64_t count = in.u64();
     // Cap before reserving: a corrupt length must not become a huge
-    // allocation (the stream would fail on read anyway).
-    if (!in.ok() || count > (std::uint64_t{1} << 30)) return false;
+    // allocation, so it may claim no more keys than the image has bytes
+    // left (the constant cap covers a stream that cannot seek).
+    if (!in.ok() || count > (std::uint64_t{1} << 30) ||
+        count > in.remaining() / sizeof(std::uint64_t)) {
+      return false;
+    }
     std::vector<std::uint64_t> keys;
     keys.reserve(count);
     for (std::uint64_t k = 0; k < count; ++k) keys.push_back(in.u64());

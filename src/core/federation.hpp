@@ -42,6 +42,7 @@ inline std::size_t federation_shard(net::IPv4Addr originator, std::size_t shards
 
 /// Writes a transferable snapshot of one sensor's window state: a header
 /// (magic, version, full config echo) followed by Sensor::save_state.
+/// The caller finish()es `out` before anything reads the image.
 void export_sensor_state(const Sensor& sensor, util::BinaryWriter& out);
 
 /// Verifies the header against `into`'s config, then loads and merges the

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -36,6 +37,10 @@ util::MetricCounter& g_dropped =
     util::metrics_counter("dnsbs.serve.queue_dropped", /*sched=*/true);
 util::MetricCounter& g_checkpoints =
     util::metrics_counter("dnsbs.serve.checkpoints", /*sched=*/true);
+// A checkpoint holds the drive thread for its whole save.
+util::MetricHistogram& g_checkpoint_ns = util::metrics_histogram("dnsbs.serve.checkpoint_ns");
+util::MetricGauge& g_checkpoint_bytes =
+    util::metrics_gauge("dnsbs.serve.checkpoint_bytes", /*sched=*/true);
 util::MetricCounter& g_control =
     util::metrics_counter("dnsbs.serve.control_requests", /*sched=*/true);
 util::MetricCounter& g_packets = util::metrics_counter("dnsbs.serve.packets");
@@ -175,15 +180,20 @@ bool ServeDaemon::start(std::string& error) {
   }
 
   if (config_.restore) {
+    const std::uint64_t t0 = steady_now_ns();
     std::ifstream in(config_.checkpoint_path, std::ios::binary);
+    std::error_code size_error;
+    const std::uintmax_t bytes = std::filesystem::file_size(config_.checkpoint_path, size_error);
     if (!in || !driver_->restore(in)) {
       error = "checkpoint restore failed: " + config_.checkpoint_path;
       return false;
     }
     util::log_info("serve",
-                   util::format("restored checkpoint %s: %llu windows closed, "
-                                "%zu open, stream_time=%lld",
+                   util::format("restored checkpoint %s (%ju bytes, %.1f ms): %llu windows "
+                                "closed, %zu open, stream_time=%lld",
                                 config_.checkpoint_path.c_str(),
+                                size_error ? std::uintmax_t{0} : bytes,
+                                static_cast<double>(steady_now_ns() - t0) / 1e6,
                                 static_cast<unsigned long long>(driver_->windows_closed()),
                                 driver_->open_windows(),
                                 static_cast<long long>(driver_->stream_time().secs())));
@@ -616,24 +626,31 @@ bool ServeDaemon::write_checkpoint(std::string& why) {
   // A restore assumes summaries for every closed window are already on
   // disk (numbering resumes at windows_closed); make that true before
   // the checkpoint can land.  driver_->save() below quiesces close+train.
+  const std::uint64_t t0 = steady_now_ns();
   quiesce_pipeline();
   const std::string tmp = config_.checkpoint_path + ".tmp";
+  std::int64_t bytes = 0;
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out || !driver_->save(out)) {
       why = "write failed: " + tmp;
       return false;
     }
+    bytes = static_cast<std::int64_t>(out.tellp());
   }
   if (std::rename(tmp.c_str(), config_.checkpoint_path.c_str()) != 0) {
     why = "rename failed: " + config_.checkpoint_path;
     return false;
   }
+  const std::uint64_t elapsed_ns = steady_now_ns() - t0;
   g_checkpoints.inc();
-  util::log_info("serve", util::format("checkpoint written: %s (stream_time=%lld)",
-                                       config_.checkpoint_path.c_str(),
-                                       static_cast<long long>(
-                                           driver_->stream_time().secs())));
+  g_checkpoint_ns.record(elapsed_ns);
+  g_checkpoint_bytes.set(bytes);
+  util::log_info("serve",
+                 util::format("checkpoint written: %s (%lld bytes, %.1f ms, stream_time=%lld)",
+                              config_.checkpoint_path.c_str(), static_cast<long long>(bytes),
+                              static_cast<double>(elapsed_ns) / 1e6,
+                              static_cast<long long>(driver_->stream_time().secs())));
   return true;
 }
 

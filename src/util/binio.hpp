@@ -4,89 +4,237 @@
 // feature cache) so a restart resumes with byte-identical subsequent
 // windows.  Fixed little-endian layout keeps checkpoint files portable
 // between builds; doubles round-trip through std::bit_cast so feature rows
-// restore bit-exactly.  Readers never throw on truncated input — every
-// read reports success through ok() and returns a zero value once the
-// stream has failed, so load paths can validate once at the end.
+// restore bit-exactly.
+//
+// Buffering.  A checkpoint is millions of 1-8 byte fields, and one stream
+// call per field cost more than the state it carried.  Writer and reader
+// therefore each own one fixed kBinioBufferBytes (64 KiB) buffer,
+// allocated once, and move bytes to or from their stream only in
+// buffer-sized blocks (a bytes() call at least that large goes straight
+// through).  On little-endian hosts a field is one memcpy; other hosts
+// encode byte by byte.  Neither side ever holds a whole image.
+//
+//   * BinaryWriter hands its buffer to the stream when it fills and at
+//     finish(), which also flushes the stream and reports whether every
+//     byte got there.  Until finish() returns, the stream may hold only
+//     part of the image: finish() before anything reads the stream.  A
+//     writer destroyed without finish() drops what it still buffers.
+//   * BinaryReader reads ahead: it consumes its stream in blocks, so after
+//     a load the stream position is past the image's end and the stream
+//     is no longer usable for anything else.  remaining() is the number of
+//     image bytes not yet decoded, taken from tellg/seekg at construction;
+//     on a stream that cannot seek it is UINT64_MAX (unknown).  Loaders
+//     use it to refuse element counts the bytes left cannot hold before
+//     they reserve memory for them.
+//
+// Readers never throw on truncated input: every read reports success
+// through ok() and returns a zero value once the image has failed, so load
+// paths can validate once at the end.
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <istream>
+#include <limits>
+#include <memory>
 #include <ostream>
 
 namespace dnsbs::util {
 
+inline constexpr std::size_t kBinioBufferBytes = std::size_t{64} << 10;
+
 class BinaryWriter {
  public:
-  explicit BinaryWriter(std::ostream& out) : out_(out) {}
+  explicit BinaryWriter(std::ostream& out)
+      : out_(out), buf_(std::make_unique<char[]>(kBinioBufferBytes)) {}
+  BinaryWriter(const BinaryWriter&) = delete;
+  BinaryWriter& operator=(const BinaryWriter&) = delete;
 
-  void u8(std::uint8_t v) { out_.put(static_cast<char>(v)); }
-  void u16(std::uint16_t v) { le(v, 2); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void u8(std::uint8_t v) { put(v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
 
   void bytes(const void* data, std::size_t n) {
-    out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
+    if (n > kBinioBufferBytes - used_) {
+      drain();
+      if (n >= kBinioBufferBytes) {
+        out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
+        flushed_ += n;
+        return;
+      }
+    }
+    std::memcpy(buf_.get() + used_, data, n);
+    used_ += n;
   }
 
+  /// Hands every buffered byte to the stream and flushes it.  True if the
+  /// whole image reached the stream.
+  bool finish() {
+    drain();
+    out_.flush();
+    return ok();
+  }
+
+  /// False once the stream has failed.  Bytes still buffered are not
+  /// checked until finish().
   bool ok() const { return static_cast<bool>(out_); }
 
+  /// Bytes encoded so far, buffered or handed to the stream: the image's
+  /// size once finish() has returned true.
+  std::uint64_t written() const { return flushed_ + used_; }
+
  private:
-  void le(std::uint64_t v, int width) {
-    char buf[8];
-    for (int i = 0; i < width; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    out_.write(buf, width);
+  template <std::unsigned_integral T>
+  void put(T v) {
+    if (sizeof(T) > kBinioBufferBytes - used_) drain();
+    char* p = buf_.get() + used_;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p, &v, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        p[i] = static_cast<char>((static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff);
+      }
+    }
+    used_ += sizeof(T);
   }
+
+  void drain() {
+    if (used_ == 0) return;
+    out_.write(buf_.get(), static_cast<std::streamsize>(used_));
+    flushed_ += used_;
+    used_ = 0;
+  }
+
   std::ostream& out_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t used_ = 0;
+  std::uint64_t flushed_ = 0;
 };
 
 class BinaryReader {
  public:
-  explicit BinaryReader(std::istream& in) : in_(in) {}
-
-  std::uint8_t u8() {
-    const int c = in_.get();
-    if (c == std::istream::traits_type::eof()) {
-      failed_ = true;
-      return 0;
+  explicit BinaryReader(std::istream& in)
+      : in_(in), buf_(std::make_unique<char[]>(kBinioBufferBytes)) {
+    const std::istream::pos_type here = in_.tellg();
+    if (here == std::istream::pos_type(-1)) return;
+    if (in_.seekg(0, std::ios::end)) {
+      const std::istream::pos_type end = in_.tellg();
+      if (end != std::istream::pos_type(-1) && end >= here) {
+        unread_ = static_cast<std::uint64_t>(end - here);
+      }
     }
-    return static_cast<std::uint8_t>(c);
+    in_.clear();
+    in_.seekg(here);
   }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
-  std::uint64_t u64() { return le(8); }
+  BinaryReader(const BinaryReader&) = delete;
+  BinaryReader& operator=(const BinaryReader&) = delete;
+
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
 
   bool bytes(void* data, std::size_t n) {
-    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-    if (in_.gcount() != static_cast<std::streamsize>(n)) failed_ = true;
+    char* dst = static_cast<char*>(data);
+    while (n > 0) {
+      if (pos_ == end_) {
+        // A payload at least a buffer long bypasses the buffer.
+        if (n >= kBinioBufferBytes && !failed_) return pull(dst, n);
+        if (!refill(n)) return false;
+      }
+      const std::size_t take = std::min(n, end_ - pos_);
+      std::memcpy(dst, buf_.get() + pos_, take);
+      pos_ += take;
+      dst += take;
+      n -= take;
+    }
     return !failed_;
   }
 
-  bool ok() const { return !failed_ && static_cast<bool>(in_); }
-  /// Marks the stream failed from a semantic check (bad magic, impossible
+  bool ok() const { return !failed_; }
+  /// Marks the image failed from a semantic check (bad magic, impossible
   /// count); subsequent reads return zero.
-  void fail() { failed_ = true; }
+  void fail() {
+    failed_ = true;
+    pos_ = end_;
+  }
+
+  /// Image bytes not yet decoded (UINT64_MAX when the stream cannot seek;
+  /// 0 once the image has failed).
+  std::uint64_t remaining() const {
+    if (failed_) return 0;
+    if (unread_ == kUnknown) return kUnknown;
+    return (end_ - pos_) + unread_;
+  }
 
  private:
-  std::uint64_t le(int width) {
-    char buf[8];
-    in_.read(buf, width);
-    if (in_.gcount() != width) {
-      failed_ = true;
-      return 0;
+  static constexpr std::uint64_t kUnknown = std::numeric_limits<std::uint64_t>::max();
+
+  template <std::unsigned_integral T>
+  T get() {
+    if (end_ - pos_ < sizeof(T) && !refill(sizeof(T))) return 0;
+    const char* p = buf_.get() + pos_;
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, p, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v |= static_cast<T>(static_cast<T>(static_cast<std::uint8_t>(p[i])) << (8 * i));
+      }
     }
-    std::uint64_t v = 0;
-    for (int i = 0; i < width; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(buf[i])) << (8 * i);
-    }
+    pos_ += sizeof(T);
     return v;
   }
 
+  /// Moves the undecoded tail to the front and reads the stream until at
+  /// least `need` (<= kBinioBufferBytes) bytes are buffered.  On a short
+  /// image, marks the reader failed.
+  bool refill(std::size_t need) {
+    if (failed_) return false;
+    const std::size_t keep = end_ - pos_;
+    std::memmove(buf_.get(), buf_.get() + pos_, keep);
+    pos_ = 0;
+    end_ = keep;
+    while (end_ < need) {
+      in_.read(buf_.get() + end_, static_cast<std::streamsize>(kBinioBufferBytes - end_));
+      const auto got = static_cast<std::size_t>(in_.gcount());
+      consumed(got);
+      end_ += got;
+      if (got == 0) {
+        fail();
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Reads exactly `n` bytes straight from the stream (the buffer is
+  /// empty).
+  bool pull(char* dst, std::size_t n) {
+    in_.read(dst, static_cast<std::streamsize>(n));
+    const auto got = static_cast<std::size_t>(in_.gcount());
+    consumed(got);
+    if (got != n) fail();
+    return !failed_;
+  }
+
+  void consumed(std::size_t got) {
+    if (unread_ != kUnknown) unread_ -= std::min<std::uint64_t>(unread_, got);
+  }
+
   std::istream& in_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
+  std::uint64_t unread_ = kUnknown;  ///< stream bytes past the buffer
   bool failed_ = false;
 };
 

@@ -396,6 +396,9 @@ TEST(FeatureExtractionCacheLoad, ClaimedLengthsBeyondTheStreamFailCleanly) {
     out.u8(10);
     out.u8(0);
   }
+  ASSERT_TRUE(out.finish());
+  // Map header, column count and the three entries all reached the stream.
+  ASSERT_EQ(bytes.str().size(), 16u + 8u + 3u * 14u);
   std::istringstream in(bytes.str());
   util::BinaryReader reader(in);
   FeatureExtractionCache cache;
@@ -438,6 +441,7 @@ TEST(FeatureExtractionCacheLoad, InternedIdsOutOfRangeAreRejected) {
   std::stringstream bytes;
   util::BinaryWriter out(bytes);
   cache->save(out);
+  ASSERT_TRUE(out.finish());
   const std::string image = bytes.str();
 
   // Offsets follow FeatureExtractionCache::save: each id map as

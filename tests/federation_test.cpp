@@ -157,7 +157,7 @@ TEST_F(FederationTest, ExportImportRoundTripMatchesSingleSensor) {
     std::ostringstream out;
     util::BinaryWriter writer(out);
     core::export_sensor_state(sensor, writer);
-    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer.finish());
     blobs.push_back(out.str());
   }
 
@@ -176,7 +176,11 @@ TEST_F(FederationTest, ImportRefusesMismatchedConfigAndCorruptStreams) {
   std::ostringstream out;
   util::BinaryWriter writer(out);
   core::export_sensor_state(exporter, writer);
+  ASSERT_TRUE(writer.finish());
   const std::string blob = out.str();
+  // Every refusal below is about content: the image is whole.
+  ASSERT_EQ(blob.size(), writer.written());
+  ASSERT_GT(blob.size(), 16u);
 
   {  // Coordinator configured for sketch mode must refuse an exact export.
     core::Sensor coordinator = make_sensor(sketch_config());
@@ -208,7 +212,9 @@ TEST_F(FederationTest, ImportRefusesOlderFormatVersion) {
   std::ostringstream out;
   util::BinaryWriter writer(out);
   core::export_sensor_state(exporter, writer);
+  ASSERT_TRUE(writer.finish());
   std::string blob = out.str();
+  ASSERT_EQ(blob.size(), writer.written());
   ASSERT_GT(blob.size(), 8u);
   {  // The unpatched image imports.
     core::Sensor coordinator = make_sensor(core::SensorConfig{});

@@ -23,6 +23,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -38,6 +39,7 @@
 #include "serve/intake.hpp"
 #include "util/binio.hpp"
 #include "util/fuzz.hpp"
+#include "util/log.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
 #include "util/trace.hpp"
@@ -779,7 +781,7 @@ TEST(TelemetryHistory, BinaryRoundTripIsExact) {
   std::stringstream state;
   util::BinaryWriter writer(state);
   a.save(writer);
-  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer.finish());
 
   analysis::TelemetryHistory b(8);
   util::BinaryReader reader(state);
@@ -794,6 +796,9 @@ TEST(TelemetryHistory, BinaryRoundTripIsExact) {
   std::stringstream again;
   util::BinaryWriter w2(again);
   a.save(w2);
+  ASSERT_TRUE(w2.finish());
+  // The whole image is there, so the refusal below is the ring size's.
+  ASSERT_EQ(again.str().size(), state.str().size());
   analysis::TelemetryHistory c(4);
   util::BinaryReader r2(again);
   EXPECT_FALSE(c.load(r2));
@@ -1230,7 +1235,7 @@ TEST(StateRoundtrip, DeduplicatorContinuesIdentically) {
   std::stringstream state;
   util::BinaryWriter writer(state);
   a.save(writer);
-  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer.finish());
 
   core::Deduplicator b(SimTime::seconds(30));
   util::BinaryReader reader(state);
@@ -1254,7 +1259,7 @@ TEST(StateRoundtrip, AggregatorContinuesIdentically) {
   std::stringstream state;
   util::BinaryWriter writer(state);
   a.save(writer);
-  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer.finish());
 
   core::OriginatorAggregator b;
   util::BinaryReader reader(state);
@@ -2289,6 +2294,103 @@ TEST(ServeDaemon, HttpScrapeHistoryAndTrace) {
   EXPECT_NE(json.find("\"name\":\"pipeline.window\""), std::string::npos)
       << json.substr(0, 400);
 #endif
+}
+
+/// The value of `series` in a Prometheus scrape body; -1 when absent.
+long long scrape_value(const std::string& body, const std::string& series) {
+  const std::string key = "\n" + series + " ";
+  const std::size_t at = body.find(key);
+  return at == std::string::npos ? -1 : std::stoll(body.substr(at + key.size()));
+}
+
+TEST(ServeDaemon, CheckpointStallShowsInLogAndMetrics) {
+  Dbs dbs;
+  const CategoryResolver resolver;
+  const std::string checkpoint = ::testing::TempDir() + "serve_stall.ckpt";
+  std::remove(checkpoint.c_str());
+
+  // Captures the daemon's info lines until the end of the test (declared
+  // before the daemons, so it outlives them).
+  struct ServeLines {
+    std::vector<std::string> lines;  // the sink runs under the log mutex
+    util::LogLevel old_level = util::log_level();
+    ServeLines() {
+      util::set_log_sink([this](util::LogLevel, std::string_view line) {
+        if (line.find("[serve]") != std::string_view::npos) lines.emplace_back(line);
+      });
+      util::set_log_level(util::LogLevel::kInfo);
+    }
+    ~ServeLines() {
+      util::set_log_level(old_level);
+      util::set_log_sink(nullptr);
+    }
+  } capture;
+
+  serve::ServeConfig cfg;
+  cfg.tcp = true;
+  cfg.stamped = true;
+  cfg.streaming.window = SimTime::seconds(100);
+  cfg.pipeline = pipeline_config();
+  cfg.checkpoint_path = checkpoint;
+  std::string before, after;
+  {
+    serve::ServeDaemon daemon(cfg, dbs.as_db, dbs.geo_db, resolver);
+    std::string error;
+    ASSERT_TRUE(daemon.start(error)) << error;
+    const auto command = [&daemon](const std::string& cmd) -> std::string {
+      auto control = net::TcpStream::connect("127.0.0.1", daemon.status_port());
+      EXPECT_TRUE(control.has_value()) << cmd;
+      if (!control.has_value()) return "";
+      const std::string line = cmd + "\n";
+      EXPECT_TRUE(control->write_all(line.data(), line.size()));
+      return control->read_line(30000, std::size_t{1} << 20).value_or("");
+    };
+    const auto scrape = [&daemon] {
+      const auto metrics = http_request(daemon.status_port(), "GET", "/metrics");
+      EXPECT_TRUE(metrics.has_value());
+      return metrics ? metrics->body : std::string();
+    };
+    before = scrape();
+    EXPECT_EQ(command("CHECKPOINT"), "OK " + checkpoint);
+    after = scrape();
+    EXPECT_EQ(command("SHUTDOWN"), "OK shutting down");
+    daemon.wait();
+  }
+  serve::ServeConfig resumed = cfg;
+  resumed.restore = true;
+  {
+    serve::ServeDaemon daemon(resumed, dbs.as_db, dbs.geo_db, resolver);
+    std::string error;
+    EXPECT_TRUE(daemon.start(error)) << error;
+  }
+  std::ifstream saved(checkpoint, std::ios::binary | std::ios::ate);
+  ASSERT_TRUE(saved.good());
+  const long long bytes = static_cast<long long>(saved.tellg());
+  EXPECT_GT(bytes, 8);
+  // Both log lines carry the image's size and the time taken.
+  const std::string size = "(" + std::to_string(bytes) + " bytes, ";
+  const std::vector<std::string>& lines = capture.lines;
+  const auto logged = [&lines, &size](const std::string& what) {
+    return std::any_of(lines.begin(), lines.end(), [&](const std::string& l) {
+      return l.find(what) != std::string::npos && l.find(size) != std::string::npos &&
+             l.find(" ms") != std::string::npos;
+    });
+  };
+  EXPECT_TRUE(logged("checkpoint written: ")) << ::testing::PrintToString(lines);
+  EXPECT_TRUE(logged("restored checkpoint ")) << ::testing::PrintToString(lines);
+
+#if !DNSBS_METRICS_ENABLED
+  GTEST_SKIP() << "reads dnsbs.serve.checkpoint_ns and checkpoint_bytes, no-ops without metrics";
+#endif
+  // The registry is process-wide, so compare against the scrape before.
+  const long long count_before =
+      std::max(0LL, scrape_value(before, "dnsbs_serve_checkpoint_ns_count"));
+  const long long sum_before =
+      std::max(0LL, scrape_value(before, "dnsbs_serve_checkpoint_ns_sum"));
+  EXPECT_EQ(scrape_value(after, "dnsbs_serve_checkpoint_ns_count"), count_before + 1) << after;
+  EXPECT_GT(scrape_value(after, "dnsbs_serve_checkpoint_ns_sum"), sum_before) << after;
+  EXPECT_EQ(scrape_value(after, "dnsbs_serve_checkpoint_bytes"), bytes) << after;
+  EXPECT_NE(after.find("# SCHED dnsbs_serve_checkpoint_bytes\n"), std::string::npos);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@ std::string serialize(const HllSketch& sketch) {
   std::ostringstream out;
   BinaryWriter writer(out);
   sketch.save(writer);
+  EXPECT_TRUE(writer.finish());
   return out.str();
 }
 
@@ -33,6 +34,7 @@ std::string serialize(const CardinalityEstimator& est) {
   std::ostringstream out;
   BinaryWriter writer(out);
   est.save(writer);
+  EXPECT_TRUE(writer.finish());
   return out.str();
 }
 

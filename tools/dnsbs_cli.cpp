@@ -373,7 +373,7 @@ int cmd_export_state(const cli::Options& opt) {
   }
   util::BinaryWriter writer(out);
   core::export_sensor_state(sensor, writer);
-  if (!writer.ok()) {
+  if (!writer.finish()) {
     std::fprintf(stderr, "short write to %s\n", out_path.c_str());
     return 1;
   }

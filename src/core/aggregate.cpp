@@ -202,13 +202,11 @@ void save_period_vector(util::BinaryWriter& out, const std::vector<std::int64_t>
 
 bool load_period_vector(util::BinaryReader& in, std::vector<std::int64_t>& periods) {
   const std::uint64_t n = in.u64();
-  // Reserve only what the image's bytes left can hold (the constant cap
-  // covers a stream that cannot seek).
-  if (!in.ok() || n > (std::uint64_t{1} << 32) || n > in.remaining() / sizeof(std::int64_t)) {
-    return false;
-  }
+  if (!in.ok() || n > (std::uint64_t{1} << 32)) return false;
   periods.clear();
-  periods.reserve(static_cast<std::size_t>(n));
+  // A corrupt count must not become a huge allocation: reserve a bounded
+  // prefix and let the loop below stop at the image's end.
+  periods.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, util::kMaxClaimedReserve)));
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::int64_t p = in.i64();
     // Canonical form is strictly ascending; reject anything else.

@@ -127,17 +127,17 @@ bool Deduplicator::load(util::BinaryReader& in) {
     const std::uint64_t slot = in.u64();
     const std::int64_t bucket = in.i64();
     const std::uint64_t count = in.u64();
-    // Cap before reserving: a corrupt length must not become a huge
-    // allocation, so it may claim no more keys than the image has bytes
-    // left (the constant cap covers a stream that cannot seek).
-    if (!in.ok() || count > (std::uint64_t{1} << 30) ||
-        count > in.remaining() / sizeof(std::uint64_t)) {
-      return false;
-    }
+    if (!in.ok() || count > (std::uint64_t{1} << 30)) return false;
+    // A corrupt length must not become a huge allocation: reserve a
+    // bounded prefix and stop at the image's end.
     std::vector<std::uint64_t> keys;
-    keys.reserve(count);
-    for (std::uint64_t k = 0; k < count; ++k) keys.push_back(in.u64());
-    if (!in.ok() || !expiry_.place(slot, bucket, std::move(keys))) return false;
+    keys.reserve(
+        static_cast<std::size_t>(std::min<std::uint64_t>(count, util::kMaxClaimedReserve)));
+    for (std::uint64_t k = 0; k < count; ++k) {
+      keys.push_back(in.u64());
+      if (!in.ok()) return false;
+    }
+    if (!expiry_.place(slot, bucket, std::move(keys))) return false;
   }
   next_drain_ = in.i64();
   last_prune_interval_ = in.i64();

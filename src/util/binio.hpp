@@ -9,10 +9,10 @@
 // Buffering.  A checkpoint is millions of 1-8 byte fields, and one stream
 // call per field cost more than the state it carried.  Writer and reader
 // therefore each own one fixed kBinioBufferBytes (64 KiB) buffer,
-// allocated once, and move bytes to or from their stream only in
-// buffer-sized blocks (a bytes() call at least that large goes straight
-// through).  On little-endian hosts a field is one memcpy; other hosts
-// encode byte by byte.  Neither side ever holds a whole image.
+// allocated once, encode or decode every field in it byte by byte (one
+// path on every host), and move bytes to or from their stream only in
+// buffer-sized blocks.  Neither side ever holds
+// a whole image.
 //
 //   * BinaryWriter hands its buffer to the stream when it fills and at
 //     finish(), which also flushes the stream and reports whether every
@@ -21,15 +21,14 @@
 //     writer destroyed without finish() drops what it still buffers.
 //   * BinaryReader reads ahead: it consumes its stream in blocks, so after
 //     a load the stream position is past the image's end and the stream
-//     is no longer usable for anything else.  remaining() is the number of
-//     image bytes not yet decoded, taken from tellg/seekg at construction;
-//     on a stream that cannot seek it is UINT64_MAX (unknown).  Loaders
-//     use it to refuse element counts the bytes left cannot hold before
-//     they reserve memory for them.
+//     is no longer usable for anything else.
 //
 // Readers never throw on truncated input: every read reports success
 // through ok() and returns a zero value once the image has failed, so load
-// paths can validate once at the end.
+// paths can validate once at the end.  A claimed element count is not
+// checked against the bytes left; loaders reserve at most
+// kMaxClaimedReserve elements for it and stop at the first failed read,
+// so a corrupt count costs no more memory than the image really holds.
 #pragma once
 
 #include <algorithm>
@@ -38,13 +37,15 @@
 #include <cstdint>
 #include <cstring>
 #include <istream>
-#include <limits>
 #include <memory>
 #include <ostream>
+#include <utility>
 
 namespace dnsbs::util {
 
 inline constexpr std::size_t kBinioBufferBytes = std::size_t{64} << 10;
+/// Most elements a loader reserves for on a count the image claims.
+inline constexpr std::uint64_t kMaxClaimedReserve = 4096;
 
 class BinaryWriter {
  public:
@@ -61,16 +62,15 @@ class BinaryWriter {
   void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
 
   void bytes(const void* data, std::size_t n) {
-    if (n > kBinioBufferBytes - used_) {
-      drain();
-      if (n >= kBinioBufferBytes) {
-        out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
-        flushed_ += n;
-        return;
-      }
+    const char* src = static_cast<const char*>(data);
+    while (n > 0) {
+      if (used_ == kBinioBufferBytes) drain();
+      const std::size_t take = std::min(n, kBinioBufferBytes - used_);
+      std::memcpy(buf_.get() + used_, src, take);
+      used_ += take;
+      src += take;
+      n -= take;
     }
-    std::memcpy(buf_.get() + used_, data, n);
-    used_ += n;
   }
 
   /// Hands every buffered byte to the stream and flushes it.  True if the
@@ -85,53 +85,33 @@ class BinaryWriter {
   /// checked until finish().
   bool ok() const { return static_cast<bool>(out_); }
 
-  /// Bytes encoded so far, buffered or handed to the stream: the image's
-  /// size once finish() has returned true.
-  std::uint64_t written() const { return flushed_ + used_; }
-
  private:
   template <std::unsigned_integral T>
   void put(T v) {
     if (sizeof(T) > kBinioBufferBytes - used_) drain();
     char* p = buf_.get() + used_;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(p, &v, sizeof(T));
-    } else {
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        p[i] = static_cast<char>((static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff);
-      }
-    }
+    // Byte I is bits 8I..8I+7 on every host.  Spelled as a fold, not a
+    // loop, so the compiler merges the bytes into one store.
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      ((p[I] = static_cast<char>(v >> (8 * I))), ...);
+    }(std::make_index_sequence<sizeof(T)>{});
     used_ += sizeof(T);
   }
 
   void drain() {
-    if (used_ == 0) return;
     out_.write(buf_.get(), static_cast<std::streamsize>(used_));
-    flushed_ += used_;
     used_ = 0;
   }
 
   std::ostream& out_;
   std::unique_ptr<char[]> buf_;
   std::size_t used_ = 0;
-  std::uint64_t flushed_ = 0;
 };
 
 class BinaryReader {
  public:
   explicit BinaryReader(std::istream& in)
-      : in_(in), buf_(std::make_unique<char[]>(kBinioBufferBytes)) {
-    const std::istream::pos_type here = in_.tellg();
-    if (here == std::istream::pos_type(-1)) return;
-    if (in_.seekg(0, std::ios::end)) {
-      const std::istream::pos_type end = in_.tellg();
-      if (end != std::istream::pos_type(-1) && end >= here) {
-        unread_ = static_cast<std::uint64_t>(end - here);
-      }
-    }
-    in_.clear();
-    in_.seekg(here);
-  }
+      : in_(in), buf_(std::make_unique<char[]>(kBinioBufferBytes)) {}
   BinaryReader(const BinaryReader&) = delete;
   BinaryReader& operator=(const BinaryReader&) = delete;
 
@@ -145,11 +125,7 @@ class BinaryReader {
   bool bytes(void* data, std::size_t n) {
     char* dst = static_cast<char*>(data);
     while (n > 0) {
-      if (pos_ == end_) {
-        // A payload at least a buffer long bypasses the buffer.
-        if (n >= kBinioBufferBytes && !failed_) return pull(dst, n);
-        if (!refill(n)) return false;
-      }
+      if (pos_ == end_ && !refill(std::min(n, kBinioBufferBytes))) return false;
       const std::size_t take = std::min(n, end_ - pos_);
       std::memcpy(dst, buf_.get() + pos_, take);
       pos_ += take;
@@ -167,29 +143,15 @@ class BinaryReader {
     pos_ = end_;
   }
 
-  /// Image bytes not yet decoded (UINT64_MAX when the stream cannot seek;
-  /// 0 once the image has failed).
-  std::uint64_t remaining() const {
-    if (failed_) return 0;
-    if (unread_ == kUnknown) return kUnknown;
-    return (end_ - pos_) + unread_;
-  }
-
  private:
-  static constexpr std::uint64_t kUnknown = std::numeric_limits<std::uint64_t>::max();
-
   template <std::unsigned_integral T>
   T get() {
     if (end_ - pos_ < sizeof(T) && !refill(sizeof(T))) return 0;
-    const char* p = buf_.get() + pos_;
-    T v = 0;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&v, p, sizeof(T));
-    } else {
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        v |= static_cast<T>(static_cast<T>(static_cast<std::uint8_t>(p[i])) << (8 * i));
-      }
-    }
+    const unsigned char* p = reinterpret_cast<const unsigned char*>(buf_.get() + pos_);
+    // The fold lets the compiler merge the bytes into one load (see put).
+    const T v = [&]<std::size_t... I>(std::index_sequence<I...>) {
+      return static_cast<T>((static_cast<T>(static_cast<T>(p[I]) << (8 * I)) | ...));
+    }(std::make_index_sequence<sizeof(T)>{});
     pos_ += sizeof(T);
     return v;
   }
@@ -206,7 +168,6 @@ class BinaryReader {
     while (end_ < need) {
       in_.read(buf_.get() + end_, static_cast<std::streamsize>(kBinioBufferBytes - end_));
       const auto got = static_cast<std::size_t>(in_.gcount());
-      consumed(got);
       end_ += got;
       if (got == 0) {
         fail();
@@ -216,25 +177,10 @@ class BinaryReader {
     return true;
   }
 
-  /// Reads exactly `n` bytes straight from the stream (the buffer is
-  /// empty).
-  bool pull(char* dst, std::size_t n) {
-    in_.read(dst, static_cast<std::streamsize>(n));
-    const auto got = static_cast<std::size_t>(in_.gcount());
-    consumed(got);
-    if (got != n) fail();
-    return !failed_;
-  }
-
-  void consumed(std::size_t got) {
-    if (unread_ != kUnknown) unread_ -= std::min<std::uint64_t>(unread_, got);
-  }
-
   std::istream& in_;
   std::unique_ptr<char[]> buf_;
   std::size_t pos_ = 0;
   std::size_t end_ = 0;
-  std::uint64_t unread_ = kUnknown;  ///< stream bytes past the buffer
   bool failed_ = false;
 };
 

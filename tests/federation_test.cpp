@@ -59,6 +59,17 @@ class FederationTest : public ::testing::Test {
     return sensor;
   }
 
+  /// Asserts that `blob` is one whole default-config image: it imports,
+  /// and no byte follows it.
+  void expect_whole_image(const std::string& blob) {
+    core::Sensor coordinator = make_sensor(core::SensorConfig{});
+    std::istringstream in(blob);
+    util::BinaryReader reader(in);
+    ASSERT_TRUE(core::import_sensor_state(reader, coordinator));
+    reader.u8();
+    ASSERT_FALSE(reader.ok());
+  }
+
   sim::Scenario scenario_;
 };
 
@@ -178,10 +189,9 @@ TEST_F(FederationTest, ImportRefusesMismatchedConfigAndCorruptStreams) {
   core::export_sensor_state(exporter, writer);
   ASSERT_TRUE(writer.finish());
   const std::string blob = out.str();
-  // Every refusal below is about content: the image is whole.
-  ASSERT_EQ(blob.size(), writer.written());
   ASSERT_GT(blob.size(), 16u);
-
+  // Every refusal below is about content: the image is whole.
+  ASSERT_NO_FATAL_FAILURE(expect_whole_image(blob));
   {  // Coordinator configured for sketch mode must refuse an exact export.
     core::Sensor coordinator = make_sensor(sketch_config());
     std::istringstream in(blob);
@@ -214,14 +224,8 @@ TEST_F(FederationTest, ImportRefusesOlderFormatVersion) {
   core::export_sensor_state(exporter, writer);
   ASSERT_TRUE(writer.finish());
   std::string blob = out.str();
-  ASSERT_EQ(blob.size(), writer.written());
   ASSERT_GT(blob.size(), 8u);
-  {  // The unpatched image imports.
-    core::Sensor coordinator = make_sensor(core::SensorConfig{});
-    std::istringstream in(blob);
-    util::BinaryReader reader(in);
-    ASSERT_TRUE(core::import_sensor_state(reader, coordinator));
-  }
+  ASSERT_NO_FATAL_FAILURE(expect_whole_image(blob));  // the unpatched image imports
   blob[4] = 1;  // u32 LE version right after the 4-byte magic
   blob[5] = blob[6] = blob[7] = 0;
   core::Sensor coordinator = make_sensor(core::SensorConfig{});

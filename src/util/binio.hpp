@@ -11,8 +11,7 @@
 // therefore each own one fixed kBinioBufferBytes (64 KiB) buffer,
 // allocated once, encode or decode every field in it byte by byte (one
 // path on every host), and move bytes to or from their stream only in
-// buffer-sized blocks.  Neither side ever holds
-// a whole image.
+// buffer-sized blocks.  Neither side ever holds a whole image.
 //
 //   * BinaryWriter hands its buffer to the stream when it fills and at
 //     finish(), which also flushes the stream and reports whether every
